@@ -16,8 +16,9 @@
 //! `--cache-dir` persists point results content-addressed on disk, so
 //! re-runs and overlapping grids only evaluate new points.
 //!
-//! `--journal FILE` appends every completed point to a checksummed,
-//! fsync'd WAL; `--resume` replays it so a run killed at any moment
+//! `--journal FILE` writes every completed point through to a
+//! checksummed WAL whose `fdatasync`s concurrent workers share (group
+//! commit; the summary line reports how many ran); `--resume` replays it so a run killed at any moment
 //! (including `kill -9`) continues where it stopped, with a canonical
 //! artifact byte-identical to an uninterrupted run. `--retries`,
 //! `--deadline-ms` and `--backoff-ms` configure the per-point
@@ -345,7 +346,7 @@ fn precheck_journal(path: &str) {
                 ""
             };
             eprintln!(
-                "sweep: resuming from journal `{path}`: {} acknowledged point(s){torn}",
+                "sweep: resuming from journal `{path}`: {} recorded point(s){torn}",
                 rec.records.len()
             );
         }
@@ -648,6 +649,12 @@ fn main() {
         artifact.stats.threads,
         artifact.stats.wall_ms
     );
+    if let Some(journal) = args.journal.as_deref() {
+        eprintln!(
+            "sweep: journal `{journal}`: {} group commit(s) (fdatasync) for {} evaluated point(s)",
+            artifact.stats.journal_syncs, artifact.stats.evaluated
+        );
+    }
     if artifact.stats.retried > 0 || artifact.stats.journal_errors > 0 {
         eprintln!(
             "sweep: supervision: {} retried attempt(s), {} quarantined, {} skipped, \

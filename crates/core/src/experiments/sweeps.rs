@@ -42,7 +42,7 @@ pub struct SweepOptions<'c> {
     pub policy: SupervisePolicy,
     /// Optional run journal (crash-safe WAL of completed points).
     pub journal: Option<&'c Path>,
-    /// Replay acknowledged points from the journal instead of starting
+    /// Replay recorded points from the journal instead of starting
     /// it over (meaningless without [`SweepOptions::journal`]).
     pub resume: bool,
 }

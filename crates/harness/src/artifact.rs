@@ -92,9 +92,12 @@ pub struct RunStats {
     /// Extra evaluation attempts spent on transient failures (total
     /// attempts minus one, summed over points).
     pub retried: u64,
-    /// Journal appends dropped because of write errors (best-effort:
-    /// the lost records are recomputed on resume).
+    /// Journal write and sync failures, plus the appends dropped after
+    /// them (best-effort: the lost records are recomputed on resume).
     pub journal_errors: u64,
+    /// Journal group commits (`fdatasync`s) the run issued; concurrent
+    /// workers share them, so this falls below the journaled points.
+    pub journal_syncs: u64,
     /// End-to-end wall time, ms.
     pub wall_ms: f64,
 }
@@ -185,6 +188,10 @@ impl RunArtifact {
                     (
                         "journal_errors".into(),
                         Value::UInt(self.stats.journal_errors),
+                    ),
+                    (
+                        "journal_syncs".into(),
+                        Value::UInt(self.stats.journal_syncs),
                     ),
                     ("wall_ms".into(), Value::Float(self.stats.wall_ms)),
                 ]),
@@ -306,6 +313,7 @@ mod tests {
                 skipped: 0,
                 retried: 0,
                 journal_errors: 0,
+                journal_syncs: 0,
                 wall_ms: eval_ms,
             },
         }
@@ -331,10 +339,11 @@ mod tests {
         supervised.points[0].resumed = true;
         supervised.stats.resumed = 1;
         supervised.stats.retried = 2;
+        supervised.stats.journal_syncs = 5;
         assert_eq!(
             plain.canonical_json(),
             supervised.canonical_json(),
-            "retry/resume provenance must not change the canonical artifact"
+            "retry/resume/journal provenance must not change the canonical artifact"
         );
         let doc = serde_json::from_str(&serde_json::to_string(&supervised).unwrap()).unwrap();
         let pt = &doc.get("points").and_then(Value::as_array).unwrap()[0];
@@ -345,6 +354,12 @@ mod tests {
                 .and_then(|s| s.get("retried"))
                 .and_then(Value::as_u64),
             Some(2)
+        );
+        assert_eq!(
+            doc.get("stats")
+                .and_then(|s| s.get("journal_syncs"))
+                .and_then(Value::as_u64),
+            Some(5)
         );
     }
 

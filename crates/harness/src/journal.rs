@@ -4,31 +4,43 @@
 //! One journal file accompanies one sweep run. Each line is a framed
 //! record — `<crc16hex> <json>\n`, where the CRC
 //! ([`stable_hash64`](crate::hash::stable_hash64) as 16 hex chars)
-//! covers the JSON payload bytes *exactly as written* — and every
-//! append is `fdatasync`'d before the evaluation is considered
-//! acknowledged. The first record is a header naming the sweep, the
-//! evaluator tag, the base seed and a grid content key; `--resume`
-//! refuses a journal whose header disagrees with the sweep being run
-//! (a journal is not portable across grids or evaluator versions).
+//! covers the JSON payload bytes *exactly as written*. The first record
+//! is a header naming the sweep, the evaluator tag, the base seed and a
+//! grid content key; `--resume` refuses a journal whose header
+//! disagrees with the sweep being run (a journal is not portable across
+//! grids or evaluator versions).
+//!
+//! Appends are **written through, then group-committed**. Every record
+//! reaches the kernel (`write(2)`) before [`RunJournal::append`]
+//! returns, so a `kill -9` finds every completed point in the file. The
+//! `fdatasync` that makes records durable is shared: the appender that
+//! finds no sync in flight leads one covering everything written so
+//! far; an appender that finds one in flight returns at once, and that
+//! sync or a later one covers its record. A record is *acknowledged*
+//! once a completed `fdatasync` covers it. [`RunJournal::sync`] (called
+//! by the sweep before it reports, and on drop) is the blocking final
+//! commit. A lone appender still syncs every record.
 //!
 //! Recovery is first-corruption-wins: records are replayed in order
 //! until the first line that is torn, bit-flipped, or malformed; that
 //! line and everything after it are discarded (the file is truncated
 //! back to the last valid record before new appends). A `kill -9` can
-//! therefore lose at most the in-flight tail — never an acknowledged
-//! record — and can never resurrect a torn one.
+//! therefore lose at most the in-flight write, an OS crash or power
+//! loss at most the records written since the last completed sync —
+//! and neither can resurrect a torn record.
 //!
 //! Journaling is *best-effort by design*: evaluation is deterministic
 //! and results are content-addressed, so a lost record merely costs a
 //! recompute on resume — it can never change the canonical artifact.
-//! Append errors (disk full, torn write) mark the journal broken for
-//! the rest of the run and are counted, not raised.
+//! Write and sync errors (disk full, torn write, failed `fdatasync`)
+//! mark the journal broken for the rest of the run and are counted, not
+//! raised.
 
 use crate::hash::stable_hash64;
 use parking_lot::Mutex;
 use serde_json::Value;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,7 +91,8 @@ impl JournalHeader {
 pub struct Recovered {
     /// The header record, if the first line was valid.
     pub header: Option<JournalHeader>,
-    /// Acknowledged `(point key, value)` records, in append order.
+    /// Valid `(point key, value)` records, in append order — every
+    /// record written through, whether or not a sync covered it yet.
     /// Later records for the same key win (a record appended twice by
     /// racing duplicates is identical anyway).
     pub records: Vec<(String, Value)>,
@@ -92,21 +105,47 @@ pub struct Recovered {
 
 /// An open, append-mode run journal.
 ///
-/// Appends are serialized through an internal lock (workers on many
-/// threads journal concurrently), each one a single framed line
-/// followed by `fdatasync`. Any append error permanently marks the
-/// journal broken — subsequent appends are skipped and counted — so a
-/// short write can never be fused with a later record into one corrupt
-/// line.
+/// Workers on many threads journal concurrently. Writes are serialized
+/// through an internal lock, each one a single framed line handed to
+/// the kernel whole; `fdatasync`s run outside that lock and are shared
+/// among concurrent appenders (group commit, see the [module
+/// docs](self)). Any write or sync error permanently marks the journal
+/// broken — subsequent appends are skipped and counted — so a short
+/// write can never be fused with a later record into one corrupt line.
 #[derive(Debug)]
 pub struct RunJournal {
-    file: Mutex<Option<File>>,
+    /// Shared by the writers (`&File` is `Write`) and the sync leader.
+    file: File,
     path: PathBuf,
-    write_errors: AtomicU64,
+    /// The write lock; `true` once a write or sync failed.
+    broken: Mutex<bool>,
+    /// The sync leader flag, taken with `try_lock` by appenders: how
+    /// many appends the last completed `fdatasync` covers, or `None`
+    /// once one failed (the kernel may have dropped the dirty pages, so
+    /// no later sync can vouch for them).
+    synced: Mutex<Option<u64>>,
+    /// Records written through; also the sequence number a sync covers.
+    /// Bumped with `Release` after each write returns, read with
+    /// `Acquire` by the sync leader: a count the leader sees is a count
+    /// of writes that completed before its `fdatasync` starts.
     appended: AtomicU64,
+    write_errors: AtomicU64,
+    syncs: AtomicU64,
 }
 
 impl RunJournal {
+    fn open(file: File, path: PathBuf) -> RunJournal {
+        RunJournal {
+            file,
+            path,
+            broken: Mutex::new(false),
+            synced: Mutex::new(Some(0)),
+            appended: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
+        }
+    }
+
     /// Creates (truncating) a fresh journal at `path` and writes the
     /// header record.
     ///
@@ -124,12 +163,7 @@ impl RunJournal {
         header.to_value().write_json(&mut payload);
         file.write_all(frame(&payload).as_bytes())?;
         file.sync_data()?;
-        Ok(RunJournal {
-            file: Mutex::new(Some(file)),
-            path,
-            write_errors: AtomicU64::new(0),
-            appended: AtomicU64::new(0),
-        })
+        Ok(RunJournal::open(file, path))
     }
 
     /// Reads a journal without opening it for writing: parses the
@@ -233,21 +267,11 @@ impl RunJournal {
                 ),
             ));
         }
-        let file = OpenOptions::new().write(true).open(&path)?;
+        let mut file = OpenOptions::new().write(true).open(&path)?;
         file.set_len(recovered.valid_len)?;
-        let mut file = file;
-        use std::io::Seek;
         file.seek(io::SeekFrom::End(0))?;
         file.sync_data()?;
-        Ok((
-            RunJournal {
-                file: Mutex::new(Some(file)),
-                path,
-                write_errors: AtomicU64::new(0),
-                appended: AtomicU64::new(0),
-            },
-            recovered.records,
-        ))
+        Ok((RunJournal::open(file, path), recovered.records))
     }
 
     /// Journal location.
@@ -256,10 +280,11 @@ impl RunJournal {
         &self.path
     }
 
-    /// Appends an acknowledged `(key, value)` record and syncs it.
-    /// Best-effort: on any error the journal is marked broken (the
-    /// error is counted, this and all later appends are dropped) —
-    /// determinism makes the lost records recomputable on resume.
+    /// Appends a `(key, value)` record: writes it through to the file,
+    /// then joins a group commit. Best-effort: on any error the journal
+    /// is marked broken (the error is counted, this and all later
+    /// appends are dropped) — determinism makes the lost records
+    /// recomputable on resume.
     pub fn append(&self, key: &str, value: &Value) {
         let rec = Value::Object(vec![
             ("key".to_string(), Value::String(key.to_string())),
@@ -268,55 +293,108 @@ impl RunJournal {
         let mut payload = String::new();
         rec.write_json(&mut payload);
         let line = frame(&payload);
-        let mut guard = self.file.lock();
-        let Some(file) = guard.as_mut() else {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let outcome = Self::append_line(file, line.as_bytes());
-        match outcome {
-            Ok(()) => {
-                self.appended.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut broken = self.broken.lock();
+            if *broken {
+                self.write_errors.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-            Err(_) => {
-                // A partially-flushed line would corrupt the next
+            if self.write_line(line.as_bytes()).is_err() {
+                // A partially-written line would corrupt the next
                 // record's framing; stop journaling for this run.
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
-                *guard = None;
+                *broken = true;
+                return;
+            }
+            self.appended.fetch_add(1, Ordering::Release);
+        }
+        // Lead a sync if none is in flight; otherwise that sync or a
+        // later one covers this record.
+        if let Some(mut synced) = self.synced.try_lock() {
+            self.commit(&mut synced);
+        }
+    }
+
+    /// Blocks until every record written so far is covered by a
+    /// completed `fdatasync`: waits out a sync in flight, then leads
+    /// one if records remain. A no-op once a sync has failed.
+    pub fn sync(&self) {
+        self.commit(&mut self.synced.lock());
+    }
+
+    /// One group commit by the holder of the leader flag: a single
+    /// `fdatasync` covering every record written before it starts.
+    fn commit(&self, synced: &mut Option<u64>) {
+        let Some(covered) = *synced else { return };
+        let written = self.appended.load(Ordering::Acquire);
+        if written <= covered {
+            return;
+        }
+        match self.sync_data() {
+            Ok(()) => {
+                *synced = Some(written);
+                self.syncs.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                *synced = None;
+                *self.broken.lock() = true;
+                self.write_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    fn append_line(file: &mut File, bytes: &[u8]) -> io::Result<()> {
+    fn write_line(&self, bytes: &[u8]) -> io::Result<()> {
+        let mut file = &self.file;
         if let Some(action) = crate::failpoint::fire("journal::append") {
             let n = crate::failpoint::apply_to_write(action, bytes)?;
-            // A short write lands the truncated prefix on disk, as a
-            // real torn write would, then reports failure.
+            // A short write lands the truncated prefix in the file, as
+            // a real torn write would, then reports failure.
             file.write_all(&bytes[..n])?;
-            let _ = file.sync_data();
             return Err(io::Error::other("failpoint: short journal append"));
         }
-        file.write_all(bytes)?;
-        file.sync_data()
+        file.write_all(bytes)
     }
 
-    /// Records successfully appended by this handle.
+    fn sync_data(&self) -> io::Result<()> {
+        if crate::failpoint::fire("journal::sync").is_some() {
+            return Err(io::Error::other("failpoint: journal fdatasync failed"));
+        }
+        self.file.sync_data()
+    }
+
+    /// Records written through to the file by this handle.
     #[must_use]
     pub fn appended(&self) -> u64 {
         self.appended.load(Ordering::Relaxed)
     }
 
-    /// Appends dropped because the journal is broken (first failure
-    /// included).
+    /// Group commits (`fdatasync`s covering appended records) completed
+    /// by this handle. A lone appender syncs once per record; concurrent
+    /// appenders share syncs, so this falls below [`RunJournal::appended`].
+    #[must_use]
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Write and sync failures, plus the appends dropped after the
+    /// journal broke.
     #[must_use]
     pub fn write_errors(&self) -> u64 {
         self.write_errors.load(Ordering::Relaxed)
     }
 
-    /// True if an append has failed and journaling stopped.
+    /// True if a write or sync has failed and journaling stopped.
     #[must_use]
     pub fn broken(&self) -> bool {
-        self.file.lock().is_none()
+        *self.broken.lock()
+    }
+}
+
+impl Drop for RunJournal {
+    /// Standalone handles are as durable as a sweep's: records still
+    /// awaiting a group commit are synced before the file closes.
+    fn drop(&mut self) {
+        self.sync();
     }
 }
 
@@ -475,6 +553,74 @@ mod tests {
         assert_eq!(j.appended(), 1);
         let rec = RunJournal::recover(&path).unwrap();
         assert_eq!(rec.records, vec![("k1".to_string(), Value::Int(1))]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn lone_appender_syncs_every_record() {
+        let path = tmp("lone");
+        let j = RunJournal::create(&path, &header()).unwrap();
+        for i in 0..3 {
+            j.append(&format!("k{i}"), &Value::Int(i));
+            assert_eq!(j.syncs(), j.appended(), "no sync in flight to share");
+        }
+        j.sync();
+        assert_eq!(j.syncs(), 3, "nothing left for the final commit");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appenders_finding_a_sync_in_flight_leave_their_records_to_it() {
+        let path = tmp("group");
+        let j = RunJournal::create(&path, &header()).unwrap();
+        let in_flight = j.synced.lock();
+        j.append("k1", &Value::Int(1));
+        j.append("k2", &Value::Int(2));
+        assert_eq!((j.appended(), j.syncs()), (2, 0), "written, not synced");
+        // Written through: both records are in the file already.
+        assert_eq!(RunJournal::recover(&path).unwrap().records.len(), 2);
+        drop(in_flight);
+        j.sync();
+        assert_eq!(j.syncs(), 1, "one commit covers both records");
+        j.sync();
+        assert_eq!(j.syncs(), 1, "nothing left to cover");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sync_failure_breaks_journal_but_keeps_written_records() {
+        crate::failpoint::reset();
+        let path = tmp("syncfail");
+        let j = RunJournal::create(&path, &header()).unwrap();
+        j.append("k1", &Value::Int(1));
+        crate::failpoint::arm(
+            "journal::sync",
+            crate::failpoint::FailAction::Io("Input/output error (os error 5)".into()),
+            1,
+        );
+        j.append("k2", &Value::Int(2));
+        assert_eq!(crate::failpoint::disarm("journal::sync"), 1);
+        assert!(j.broken());
+        assert_eq!(j.write_errors(), 1);
+        assert_eq!((j.appended(), j.syncs()), (2, 1));
+        // Later appends are dropped and the final commit no longer
+        // syncs: nothing after a failed fdatasync can be vouched for.
+        j.append("k3", &Value::Int(3));
+        j.sync();
+        assert_eq!(j.write_errors(), 2);
+        assert_eq!(j.syncs(), 1);
+        drop(j);
+        // k2 was written through before its sync failed, so it is in
+        // the file and replays on resume.
+        let rec = RunJournal::recover(&path).unwrap();
+        assert!(!rec.torn);
+        assert_eq!(
+            rec.records,
+            vec![
+                ("k1".to_string(), Value::Int(1)),
+                ("k2".to_string(), Value::Int(2)),
+            ]
+        );
         let _ = std::fs::remove_file(&path);
     }
 

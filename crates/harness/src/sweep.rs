@@ -117,7 +117,7 @@ impl<'c> Sweep<'c> {
     }
 
     /// Resumes from (and keeps journaling to) the WAL at `path`:
-    /// points whose keys are acknowledged in the journal are replayed
+    /// points whose keys are recorded in the journal are replayed
     /// instead of evaluated, and the canonical artifact is
     /// byte-identical to an uninterrupted run. A missing journal file
     /// degrades to a fresh [`Sweep::journal`] run.
@@ -129,7 +129,7 @@ impl<'c> Sweep<'c> {
     }
 
     /// Opens (or resumes) the run journal and, when resuming, moves
-    /// journal-acknowledged points out of the dispatch list.
+    /// journal-recorded points out of the dispatch list.
     ///
     /// Journal open failures panic: an unusable journal the caller
     /// explicitly asked for is a configuration error, not a per-point
@@ -219,9 +219,9 @@ impl<'c> Sweep<'c> {
             let eval_ms = t0.elapsed().as_secs_f64() * 1e3;
             match sup.result {
                 Ok((value, cached)) => {
-                    // Acknowledge inside the worker, not after the
+                    // Write through inside the worker, not after the
                     // run: a `kill -9` mid-grid must find every
-                    // completed point already on disk.
+                    // completed point already in the file.
                     if let Some(journal) = &journal {
                         journal.append(key, &value);
                     }
@@ -439,7 +439,7 @@ impl<'c> Sweep<'c> {
                     failure_class: outcome.class,
                 }
             } else if let Some(value) = resumed_of.get(&rep) {
-                // Representative was acknowledged in the run journal:
+                // Representative was recorded in the run journal:
                 // replayed, not evaluated.
                 PointRecord {
                     index,
@@ -476,6 +476,11 @@ impl<'c> Sweep<'c> {
             };
             records.push(record);
         }
+        // Final group commit: every journaled point is durable before
+        // the journal's counters are read and the artifact returned.
+        if let Some(journal) = &journal {
+            journal.sync();
+        }
         let cache_hits = records.iter().filter(|r| r.cached).count();
         let resumed = records.iter().filter(|r| r.resumed).count();
         let skipped = records.iter().filter(|r| r.skipped()).count();
@@ -497,6 +502,7 @@ impl<'c> Sweep<'c> {
             skipped,
             retried,
             journal_errors: journal.as_ref().map_or(0, RunJournal::write_errors),
+            journal_syncs: journal.as_ref().map_or(0, RunJournal::syncs),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         };
         RunArtifact {
@@ -599,7 +605,7 @@ impl DispatchPlan {
         content_key("cryowire-grid", &self.keys.concat())
     }
 
-    /// Removes dispatch entries acknowledged in a recovered journal,
+    /// Removes dispatch entries recorded in a recovered journal,
     /// recording them as replays.
     fn probe_journal(&mut self, replay: &HashMap<String, Value>) {
         let keys = &self.keys;
@@ -1252,6 +1258,39 @@ mod tests {
             .eval_tag("s/v1")
             .resume(&path)
             .run(eval);
+        assert_eq!(resumed.canonical_json(), reference.canonical_json());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_sync_failure_degrades_gracefully() {
+        crate::failpoint::reset();
+        let path = tmp("sync-fail");
+        let _ = std::fs::remove_file(&path);
+        let spec3 = || SweepSpec::new("s").axis("x", [1i64, 2, 3]);
+        let eval = |p: &Point, _: u64| Value::Int(p.i64("x"));
+        let reference = Sweep::new(spec3()).eval_tag("s/v1").run(eval);
+        crate::failpoint::arm(
+            "journal::sync",
+            crate::failpoint::FailAction::Io("Input/output error (os error 5)".into()),
+            1,
+        );
+        let broken = Sweep::new(spec3())
+            .eval_tag("s/v1")
+            .journal(&path)
+            .run(eval);
+        assert_eq!(crate::failpoint::disarm("journal::sync"), 1);
+        assert_eq!(broken.canonical_json(), reference.canonical_json());
+        assert_eq!(broken.stats.failed, 0);
+        assert_eq!(
+            broken.stats.journal_errors, 3,
+            "the failed sync, then the two appends it broke the journal for"
+        );
+        assert_eq!(broken.stats.journal_syncs, 0);
+        // The first point was written through before its sync failed:
+        // it replays, the other two recompute.
+        let resumed = Sweep::new(spec3()).eval_tag("s/v1").resume(&path).run(eval);
+        assert_eq!(resumed.stats.resumed, 1);
         assert_eq!(resumed.canonical_json(), reference.canonical_json());
         let _ = std::fs::remove_file(&path);
     }

@@ -1,12 +1,14 @@
 //! Property tests for journal recovery: arbitrary truncation or bit
 //! flips of the journal tail must never lose an acknowledged record,
 //! never resurrect a torn one, and never change the canonical artifact
-//! a resumed sweep produces.
+//! a resumed sweep produces — with one appender or with several sharing
+//! group commits.
 
 use cryowire_harness::journal::{JournalHeader, RunJournal};
 use cryowire_harness::{Sweep, SweepSpec};
 use proptest::prelude::*;
 use serde_json::Value;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,6 +62,152 @@ fn assert_prefix(recovered: &[(String, Value)], values: &[f64]) -> Result<(), Te
         prop_assert_eq!(value, &Value::Float(values[i]));
     }
     Ok(())
+}
+
+/// Appends `per_thread` records from each of `threads` concurrent
+/// threads (keys `t{t}-{i}`, values `t * 1000 + i`) and returns the
+/// still-open journal.
+fn concurrent_journal(path: &PathBuf, threads: usize, per_thread: usize) -> RunJournal {
+    let journal = RunJournal::create(path, &header()).unwrap();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let journal = &journal;
+            s.spawn(move || {
+                for i in 0..per_thread {
+                    journal.append(&format!("t{t}-{i}"), &Value::Int((t * 1000 + i) as i64));
+                }
+            });
+        }
+    });
+    assert_eq!(journal.write_errors(), 0);
+    assert_eq!(journal.appended(), (threads * per_thread) as u64);
+    journal
+}
+
+/// Asserts `records` hold every concurrently appended record exactly
+/// once, each with its value, and each thread's records in its own
+/// append order.
+fn assert_every_record_once(records: &[(String, Value)], threads: usize, per_thread: usize) {
+    assert_eq!(records.len(), threads * per_thread);
+    let keys: HashSet<&str> = records.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys.len(), records.len(), "no record twice");
+    let mut next = vec![0; threads];
+    for (key, value) in records {
+        let (t, i) = key[1..].split_once('-').unwrap();
+        let (t, i): (usize, usize) = (t.parse().unwrap(), i.parse().unwrap());
+        assert_eq!(i, next[t], "thread {t}'s records stay in append order");
+        next[t] += 1;
+        assert_eq!(value, &Value::Int((t * 1000 + i) as i64));
+    }
+}
+
+/// Four threads journal concurrently; however the handle ends — an
+/// explicit final `sync()`, a drop, or no final commit at all (leaked,
+/// standing in for `kill -9`) — every record is in the file exactly
+/// once: group commit shares syncs, never writes.
+#[test]
+fn concurrent_appenders_recover_every_record_once() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 200;
+    for ending in ["sync", "drop", "leak"] {
+        let path = scratch("concurrent");
+        let journal = concurrent_journal(&path, THREADS, PER_THREAD);
+        match ending {
+            "sync" => {
+                journal.sync();
+                let syncs = journal.syncs();
+                assert!(syncs >= 1 && syncs <= journal.appended(), "{syncs} syncs");
+                drop(journal);
+            }
+            "drop" => drop(journal),
+            _ => std::mem::forget(journal),
+        }
+        let recovered = RunJournal::recover(&path).unwrap();
+        assert_eq!(recovered.header.as_ref(), Some(&header()));
+        assert!(!recovered.torn, "{ending}: no torn tail");
+        assert_every_record_once(&recovered.records, THREADS, PER_THREAD);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A journaled 2-thread run over a temperature × pipeline-depth grid,
+/// the shape of the `depth` sweep, evaluated by a pure stand-in for the
+/// depth model.
+fn depth_sweep(path: Option<&PathBuf>, resume: bool) -> cryowire_harness::RunArtifact {
+    let temps: Vec<f64> = (0..16).map(|i| 77.0 + 14.0 * f64::from(i)).collect();
+    let mut sweep = Sweep::new(
+        SweepSpec::new("depth")
+            .axis("temperature", temps)
+            .axis("split", [1i64, 2, 3, 4]),
+    )
+    .eval_tag("depth-grid/v1")
+    .threads(2);
+    if let Some(path) = path {
+        sweep = if resume {
+            sweep.resume(path)
+        } else {
+            sweep.journal(path)
+        };
+    }
+    sweep.run(|p, seed| {
+        let depth = 13 * p.i64("split");
+        Value::Float(p.f64("temperature").sqrt() * depth as f64 + (seed % 17) as f64)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Truncating a concurrently written journal at ANY byte past the
+    /// header recovers exactly the whole records before the cut, as a
+    /// prefix of the file's record order.
+    #[test]
+    fn concurrent_journal_truncation_keeps_the_intact_prefix(
+        per_thread in 1usize..24,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let path = scratch("concurrent-cut");
+        drop(concurrent_journal(&path, 4, per_thread));
+        let full = RunJournal::recover(&path).unwrap();
+        assert_every_record_once(&full.records, 4, per_thread);
+        let bytes = std::fs::read(&path).unwrap();
+        let ends: Vec<usize> = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        let cut = ends[0] + ((bytes.len() - ends[0]) as f64 * cut_frac) as usize;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+
+        let recovered = RunJournal::recover(&path).unwrap();
+        let intact = ends[1..].iter().filter(|&&e| e <= cut).count();
+        prop_assert_eq!(&recovered.records[..], &full.records[..intact]);
+        prop_assert_eq!(recovered.torn, !ends.contains(&cut));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A 2-thread journaled depth sweep, its journal cut anywhere,
+    /// resumes on 2 threads to a canonical artifact byte-identical to an
+    /// unjournaled run.
+    #[test]
+    fn two_thread_depth_sweep_resumes_byte_identically(cut_frac in 0.0f64..1.0) {
+        let path = scratch("depth");
+        let reference = depth_sweep(None, false);
+        let journaled = depth_sweep(Some(&path), false);
+        prop_assert_eq!(journaled.canonical_json(), reference.canonical_json());
+        prop_assert_eq!(journaled.stats.journal_errors, 0);
+        prop_assert!(journaled.stats.journal_syncs >= 1);
+        prop_assert!(journaled.stats.journal_syncs <= journaled.stats.evaluated as u64);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate((bytes.len() as f64 * cut_frac) as usize);
+        std::fs::write(&path, &bytes).unwrap();
+        let resumed = depth_sweep(Some(&path), true);
+        prop_assert_eq!(resumed.canonical_json(), reference.canonical_json());
+        prop_assert_eq!(resumed.stats.failed, 0);
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 proptest! {
