@@ -44,6 +44,12 @@ pub enum NocError {
         /// Levels the fabric actually has.
         levels: usize,
     },
+    /// A flit-level router parameter that must be at least 1 was zero.
+    InvalidFlitConfig {
+        /// The zero `FlitConfig` field: `vcs`, `vc_buffer_flits` or
+        /// `packet_flits`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for NocError {
@@ -75,6 +81,9 @@ impl fmt::Display for NocError {
                     f,
                     "H-tree segment L{level}#{index} does not exist in a {levels}-level fabric"
                 )
+            }
+            NocError::InvalidFlitConfig { field } => {
+                write!(f, "flit config `{field}` must be at least 1")
             }
         }
     }

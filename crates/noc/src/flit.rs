@@ -7,9 +7,32 @@
 //! 3-cycle router pipeline. Multi-flit packets model the cache-line data
 //! the snooping comparison carries.
 //!
-//! The engine is used to cross-validate the cheaper reservation model
-//! (see the `flit_vs_reservation` tests and the ablation experiment in
-//! the facade crate).
+//! The engine cross-validates the cheaper reservation model: the
+//! `abl-engine` ablation in the facade crate runs both on the 77 K mesh,
+//! and `experiments::ablations::tests::engines_agree_at_low_load` checks
+//! that they agree.
+//!
+//! # Execution
+//!
+//! [`FlitNetwork::new`] wires the network once: every router port gets a
+//! global number, an R×R table holds each router's output port toward
+//! each destination router, and each port knows the input it feeds
+//! downstream and the output it returns credits to upstream.
+//! [`FlitNetwork::run`] resets the buffers in place and steps only what
+//! holds flits: a flit is routed once, when a router buffers it; each
+//! output port keeps a bitmask of the input slots whose head flit leaves
+//! by it, so switch allocation visits only those, in round-robin order;
+//! routers with empty input buffers skip allocation; and the one-cycle
+//! wires deliver from the list of flits sent in the previous cycle.
+//!
+//! Each cycle keeps one observable order, which the golden corpus in
+//! `tests/flit_golden.rs` pins: one `gen::<f64>()` per core in core order
+//! (plus the pattern's own draws); injection in core order into the
+//! local port's VC 0; delivery; then allocation in router order and, per
+//! router, output order — a pop is visible to later outputs of the same
+//! router, a credit return to routers later in the same cycle, and a
+//! round-robin pointer moves only on a grant. Skipping an empty router
+//! is exact because allocation never adds flits to input buffers.
 
 use std::collections::VecDeque;
 
@@ -54,48 +77,81 @@ impl FlitConfig {
 }
 
 /// One flit in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Flit {
-    packet: u64,
     dst_router: usize,
     is_tail: bool,
     injected_at: u64,
 }
 
-/// Per-input-port state: one FIFO per VC plus the cycle each head flit
-/// becomes eligible (models the router pipeline depth).
-#[derive(Debug, Clone, Default)]
-struct InputVc {
-    /// Buffered flits with the cycle each becomes eligible for switch
-    /// allocation (models the router pipeline depth).
-    queue: VecDeque<(Flit, u64)>,
+/// A flit buffered in an input VC.
+#[derive(Debug, Clone, Copy)]
+struct Buffered {
+    flit: Flit,
+    /// First cycle the flit may win switch allocation (models the router
+    /// pipeline depth).
+    eligible: u64,
+    /// Global output port it leaves by, routed when it was buffered.
+    out: usize,
 }
 
-/// A directed channel between two routers (or to the local ejection port).
-#[derive(Debug, Clone)]
-struct Channel {
-    /// Destination router (None = ejection).
-    dst_router: Option<usize>,
-    /// Credits available per downstream VC.
-    credits: Vec<usize>,
-    /// Flits in flight on the wire: (arrival cycle, flit, downstream vc).
-    in_flight: VecDeque<(u64, Flit, usize)>,
-    /// Wire latency in cycles.
-    latency: u64,
+/// A flit on a one-cycle wire.
+#[derive(Debug, Clone, Copy)]
+struct OnWire {
+    flit: Flit,
+    /// Global output port it was sent through.
+    port: usize,
+    /// Downstream VC (the same index as the VC it left).
+    vc: usize,
 }
 
-/// A router with dynamic port lists.
+/// Every router's input VC buffers, indexed for switch allocation.
+///
+/// A router with `p` ports has `p * vcs` input *slots*, slot
+/// `input port * vcs + vc`; allocation scans them round-robin.
 #[derive(Debug, Clone)]
-struct Router {
-    /// Input ports (index 0 = local injection).
-    inputs: Vec<Vec<InputVc>>,
-    /// Output channels (index 0 = local ejection), aligned with
-    /// `neighbors`.
-    outputs: Vec<Channel>,
-    /// Router id of each output's destination (usize::MAX for ejection).
-    out_dst: Vec<usize>,
-    /// Round-robin pointers per output port.
-    rr: Vec<usize>,
+struct InputBuffers {
+    vcs: usize,
+    /// `u64` words in one router's slot set.
+    words: usize,
+    /// FIFOs indexed `global input port * vcs + vc`.
+    queues: Vec<VecDeque<Buffered>>,
+    /// Bit `s` of the set at `heads[port * words..]` is set while slot
+    /// `s` of the port's router holds a head flit leaving by `port`.
+    heads: Vec<u64>,
+    /// Flits buffered per router.
+    occupancy: Vec<usize>,
+}
+
+impl InputBuffers {
+    /// Appends `b` to `slot` of `router`, whose first global port is
+    /// `base`.
+    fn push(&mut self, router: usize, base: usize, slot: usize, b: Buffered) {
+        let queue = &mut self.queues[base * self.vcs + slot];
+        if queue.is_empty() {
+            self.heads[b.out * self.words + slot / 64] |= 1 << (slot % 64);
+        }
+        queue.push_back(b);
+        self.occupancy[router] += 1;
+    }
+
+    /// Removes the head flit of `slot` of `router`.
+    fn pop(&mut self, router: usize, base: usize, slot: usize) -> Flit {
+        let queue = &mut self.queues[base * self.vcs + slot];
+        let head = queue.pop_front().expect("indexed slot holds a flit");
+        self.heads[head.out * self.words + slot / 64] &= !(1 << (slot % 64));
+        if let Some(next) = queue.front() {
+            self.heads[next.out * self.words + slot / 64] |= 1 << (slot % 64);
+        }
+        self.occupancy[router] -= 1;
+        head.flit
+    }
+
+    fn clear(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.heads.fill(0);
+        self.occupancy.fill(0);
+    }
 }
 
 /// Result of a flit-level run.
@@ -114,13 +170,39 @@ pub struct FlitSimResult {
 }
 
 /// The flit-level network simulator.
+///
+/// Ports are numbered globally: router `r` owns ports
+/// `port_base[r]..port_base[r + 1]`, its local port 0 (injection in,
+/// ejection out) first, then one per neighbour; a router's input and
+/// output port lists mirror each other.
 #[derive(Debug, Clone)]
 pub struct FlitNetwork {
     config: FlitConfig,
     topo: Topology,
     router_grid: Topology,
-    routers: Vec<Router>,
-    concentration: usize,
+    /// Router of each core.
+    router_of: Vec<usize>,
+    /// First global port of each router, then the total port count.
+    port_base: Vec<usize>,
+    /// `next_port[r * routers + d]`: global output port of router `r`
+    /// toward router `d` (its ejection port when `r == d`).
+    next_port: Vec<usize>,
+    /// Per global output port: the downstream router and the local input
+    /// port it feeds there (`None` for ejection ports).
+    downstream: Vec<Option<(usize, usize)>>,
+    /// Per global input port: the upstream global output port a departing
+    /// flit returns its credit to (`None` for injection ports).
+    upstream: Vec<Option<usize>>,
+    buffers: InputBuffers,
+    /// Credits per downstream VC, indexed `global output port * vcs + vc`.
+    credits: Vec<usize>,
+    /// Round-robin pointer per global output port, over its router's
+    /// input slots.
+    rr: Vec<usize>,
+    /// Per-core flits waiting for injection-VC space.
+    pending: Vec<VecDeque<Flit>>,
+    /// Flits sent this cycle, delivered by the next cycle's wires.
+    wires: Vec<OnWire>,
 }
 
 impl FlitNetwork {
@@ -128,7 +210,8 @@ impl FlitNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError`] for bus kinds or invalid node counts.
+    /// Returns [`NocError`] for bus kinds, invalid node counts, or a zero
+    /// VC count, VC buffer depth or packet length.
     pub fn new(config: FlitConfig) -> Result<Self, NocError> {
         if config.kind.is_bus() {
             return Err(NocError::InvalidNodeCount {
@@ -136,142 +219,112 @@ impl FlitNetwork {
                 requirement: "flit simulation models router-based NoCs",
             });
         }
+        for (field, value) in [
+            ("vcs", config.vcs),
+            ("vc_buffer_flits", config.vc_buffer_flits),
+            ("packet_flits", config.packet_flits),
+        ] {
+            if value == 0 {
+                return Err(NocError::InvalidFlitConfig { field });
+            }
+        }
         let topo = Topology::square(config.nodes)?;
-        let concentration = match config.kind {
+        // Cores per router along each grid axis: CMesh and the flattened
+        // butterfly concentrate 2×2 cores on one router.
+        let span = match config.kind {
             NocKind::Mesh => 1,
-            _ => 4,
+            _ => 2,
         };
-        let router_grid = Topology::square(config.nodes / concentration)?;
-        let mut net = FlitNetwork {
+        let grid = Topology::square(config.nodes / (span * span))?;
+        let routers = grid.nodes();
+        let neighbors: Vec<Vec<usize>> = (0..routers)
+            .map(|r| neighbors(config.kind, &grid, r))
+            .collect();
+        let port_toward = |at: usize, to: usize| {
+            1 + neighbors[at]
+                .iter()
+                .position(|&n| n == to)
+                .expect("channels are symmetric")
+        };
+
+        let mut port_base = Vec::with_capacity(routers + 1);
+        let mut ports = 0;
+        for n in &neighbors {
+            port_base.push(ports);
+            ports += 1 + n.len();
+        }
+        port_base.push(ports);
+
+        let mut downstream = vec![None; ports];
+        let mut upstream = vec![None; ports];
+        for (r, list) in neighbors.iter().enumerate() {
+            for (i, &d) in list.iter().enumerate() {
+                let out = port_base[r] + 1 + i;
+                let input = port_toward(d, r);
+                downstream[out] = Some((d, input));
+                upstream[port_base[d] + input] = Some(out);
+            }
+        }
+        let mut next_port = Vec::with_capacity(routers * routers);
+        for (r, &base) in port_base[..routers].iter().enumerate() {
+            for d in 0..routers {
+                let local = if r == d {
+                    0
+                } else {
+                    port_toward(r, next_hop(config.kind, &grid, r, d))
+                };
+                next_port.push(base + local);
+            }
+        }
+        let router_of = (0..config.nodes)
+            .map(|core| {
+                let (x, y) = topo.coords(core);
+                grid.node_at(x / span, y / span)
+            })
+            .collect();
+        let max_ports = neighbors.iter().map(|n| 1 + n.len()).max().unwrap_or(1);
+        let words = (max_ports * config.vcs).div_ceil(64);
+
+        Ok(FlitNetwork {
             config,
             topo,
-            router_grid,
-            routers: Vec::new(),
-            concentration,
-        };
-        net.build_routers();
-        Ok(net)
+            router_grid: grid,
+            router_of,
+            port_base,
+            next_port,
+            downstream,
+            upstream,
+            buffers: InputBuffers {
+                vcs: config.vcs,
+                words,
+                queues: vec![VecDeque::new(); ports * config.vcs],
+                heads: vec![0; ports * words],
+                occupancy: vec![0; routers],
+            },
+            credits: vec![config.vc_buffer_flits; ports * config.vcs],
+            rr: vec![0; ports],
+            pending: vec![VecDeque::new(); config.nodes],
+            wires: Vec::new(),
+        })
     }
 
-    fn build_routers(&mut self) {
-        let r = self.router_grid.nodes();
-        let side = self.router_grid.side();
-        let mut routers = Vec::with_capacity(r);
-        for id in 0..r {
-            let (x, y) = self.router_grid.coords(id);
-            // Output 0 = ejection; then neighbors.
-            let mut out_dst = vec![usize::MAX];
-            match self.config.kind {
-                NocKind::FlattenedButterfly => {
-                    // Fully connected within row and column.
-                    for nx in 0..side {
-                        if nx != x {
-                            out_dst.push(self.router_grid.node_at(nx, y));
-                        }
-                    }
-                    for ny in 0..side {
-                        if ny != y {
-                            out_dst.push(self.router_grid.node_at(x, ny));
-                        }
-                    }
-                }
-                _ => {
-                    if x + 1 < side {
-                        out_dst.push(self.router_grid.node_at(x + 1, y));
-                    }
-                    if x > 0 {
-                        out_dst.push(self.router_grid.node_at(x - 1, y));
-                    }
-                    if y + 1 < side {
-                        out_dst.push(self.router_grid.node_at(x, y + 1));
-                    }
-                    if y > 0 {
-                        out_dst.push(self.router_grid.node_at(x, y - 1));
-                    }
-                }
-            }
-            let n_out = out_dst.len();
-            // Inputs: local injection + one per incoming channel (same
-            // neighbor set, symmetric topologies).
-            let n_in = n_out;
-            let inputs = (0..n_in)
-                .map(|_| (0..self.config.vcs).map(|_| InputVc::default()).collect())
-                .collect();
-            let outputs = out_dst
-                .iter()
-                .map(|&dst| Channel {
-                    dst_router: (dst != usize::MAX).then_some(dst),
-                    credits: vec![self.config.vc_buffer_flits; self.config.vcs],
-                    in_flight: VecDeque::new(),
-                    latency: 1,
-                })
-                .collect();
-            routers.push(Router {
-                inputs,
-                outputs,
-                out_dst,
-                rr: vec![0; n_out],
-            });
-        }
-        self.routers = routers;
-    }
-
-    fn router_of(&self, core: usize) -> usize {
-        if self.concentration == 1 {
-            return core;
-        }
-        let (x, y) = self.topo.coords(core);
-        self.router_grid.node_at(x / 2, y / 2)
-    }
-
-    /// Next-hop output port at `router` toward `dst_router`.
-    fn route(&self, router: usize, dst_router: usize) -> usize {
-        if router == dst_router {
-            return 0; // ejection
-        }
-        let (x, y) = self.router_grid.coords(router);
-        let (dx, dy) = self.router_grid.coords(dst_router);
-        let next = match self.config.kind {
-            NocKind::FlattenedButterfly => {
-                if x != dx {
-                    self.router_grid.node_at(dx, y)
-                } else {
-                    self.router_grid.node_at(x, dy)
-                }
-            }
-            _ => {
-                if x != dx {
-                    let nx = if dx > x { x + 1 } else { x - 1 };
-                    self.router_grid.node_at(nx, y)
-                } else {
-                    let ny = if dy > y { y + 1 } else { y - 1 };
-                    self.router_grid.node_at(x, ny)
-                }
-            }
-        };
-        self.routers[router]
-            .out_dst
-            .iter()
-            .position(|&d| d == next)
-            .expect("topology is connected")
-    }
-
-    /// Input-port index at `dst` for flits arriving from `src` — mirrors
-    /// the output list (port 0 is local).
-    fn input_port_at(&self, dst: usize, src: usize) -> usize {
-        self.routers[dst]
-            .out_dst
-            .iter()
-            .position(|&d| d == src)
-            .expect("channels are symmetric")
+    /// Empties every buffer and wire and restores credits and arbiters,
+    /// keeping the allocations.
+    fn reset(&mut self) {
+        self.buffers.clear();
+        self.credits.fill(self.config.vc_buffer_flits);
+        self.rr.fill(0);
+        self.pending.iter_mut().for_each(VecDeque::clear);
+        self.wires.clear();
     }
 
     /// Runs the simulation.
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::InvalidInjectionRate`] for rates outside [0, 1].
-    #[allow(clippy::needless_range_loop)] // `src` indexes two structures
+    /// Returns [`NocError::InvalidInjectionRate`] for rates outside [0, 1],
+    /// or the pattern's validation error (including networks of fewer
+    /// than two cores).
     pub fn run(
         &mut self,
         pattern: TrafficPattern,
@@ -284,15 +337,18 @@ impl FlitNetwork {
             return Err(NocError::InvalidInjectionRate { rate });
         }
         pattern.validate(&self.topo)?;
-        self.build_routers(); // reset state
+        self.reset();
         let mut rng = StdRng::seed_from_u64(seed);
         let pipeline = self.config.class.cycles();
+        let vcs = self.config.vcs;
+        let words = self.buffers.words;
+        let packet_flits = self.config.packet_flits;
+        let inject_capacity = self.config.vc_buffer_flits * vcs;
+        let routers = self.router_grid.nodes();
         let mut next_packet: u64 = 0;
         let mut total_latency: u64 = 0;
         let mut measured: u64 = 0;
         let mut in_network: u64 = 0;
-        // Per-node pending injection queue (packets waiting for VC space).
-        let mut pending: Vec<VecDeque<Flit>> = vec![VecDeque::new(); self.topo.nodes()];
         let mut zero_latency_sum: f64 = 0.0;
 
         for cycle in 0..cycles {
@@ -301,135 +357,103 @@ impl FlitNetwork {
             for src in 0..self.topo.nodes() {
                 if rng.gen::<f64>() < p {
                     let dst = pattern.destination(src, &self.topo, &mut rng);
-                    let dst_router = self.router_of(dst);
-                    let id = next_packet;
+                    let dst_router = self.router_of[dst];
                     next_packet += 1;
-                    for f in 0..self.config.packet_flits {
-                        pending[src].push_back(Flit {
-                            packet: id,
+                    for f in 0..packet_flits {
+                        self.pending[src].push_back(Flit {
                             dst_router,
-                            is_tail: f == self.config.packet_flits - 1,
+                            is_tail: f == packet_flits - 1,
                             injected_at: cycle,
                         });
                     }
                     in_network += 1;
                     zero_latency_sum += self
                         .router_grid
-                        .manhattan_hops(self.router_of(src), dst_router)
+                        .manhattan_hops(self.router_of[src], dst_router)
                         as f64;
                 }
             }
 
             // 2. Inject pending flits into the local input VC 0 if space.
-            for src in 0..self.topo.nodes() {
-                let router = self.router_of(src);
-                while let Some(&flit) = pending[src].front() {
-                    let vc = &mut self.routers[router].inputs[0][0];
-                    if vc.queue.len() < self.config.vc_buffer_flits * self.config.vcs {
-                        vc.queue.push_back((flit, cycle + pipeline));
-                        pending[src].pop_front();
-                    } else {
+            for (src, pending) in self.pending.iter_mut().enumerate() {
+                let router = self.router_of[src];
+                let base = self.port_base[router];
+                while self.buffers.queues[base * vcs].len() < inject_capacity {
+                    let Some(flit) = pending.pop_front() else {
                         break;
-                    }
+                    };
+                    let buffered = Buffered {
+                        flit,
+                        eligible: cycle + pipeline,
+                        out: self.next_port[router * routers + flit.dst_router],
+                    };
+                    self.buffers.push(router, base, 0, buffered);
                 }
             }
 
-            // 3. Deliver in-flight flits that arrive this cycle.
-            for rid in 0..self.routers.len() {
-                for out in 0..self.routers[rid].outputs.len() {
-                    while let Some(&(arrival, flit, vc)) =
-                        self.routers[rid].outputs[out].in_flight.front()
-                    {
-                        if arrival > cycle {
-                            break;
-                        }
-                        self.routers[rid].outputs[out].in_flight.pop_front();
-                        match self.routers[rid].outputs[out].dst_router {
-                            Some(dst) => {
-                                let port = self.input_port_at(dst, rid);
-                                self.routers[dst].inputs[port][vc]
-                                    .queue
-                                    .push_back((flit, cycle + pipeline));
-                            }
-                            None => {
-                                // Ejection: packet leaves on its tail flit.
-                                if flit.is_tail {
-                                    in_network = in_network.saturating_sub(1);
-                                    if flit.injected_at >= warmup {
-                                        total_latency += cycle - flit.injected_at;
-                                        measured += 1;
-                                    }
-                                }
-                                // Ejection frees no credits (infinite sink).
+            // 3. The wires deliver the flits sent last cycle.
+            for OnWire { flit, port, vc } in self.wires.drain(..) {
+                match self.downstream[port] {
+                    Some((router, input)) => {
+                        let buffered = Buffered {
+                            flit,
+                            eligible: cycle + pipeline,
+                            out: self.next_port[router * routers + flit.dst_router],
+                        };
+                        let base = self.port_base[router];
+                        self.buffers.push(router, base, input * vcs + vc, buffered);
+                    }
+                    None => {
+                        // Ejection: packet leaves on its tail flit.
+                        if flit.is_tail {
+                            in_network = in_network.saturating_sub(1);
+                            if flit.injected_at >= warmup {
+                                total_latency += cycle - flit.injected_at;
+                                measured += 1;
                             }
                         }
+                        // Ejection frees no credits (infinite sink).
                     }
                 }
             }
 
             // 4. Switch allocation: each output picks one eligible
             //    (input, vc) head flit, round-robin.
-            for rid in 0..self.routers.len() {
-                let n_out = self.routers[rid].outputs.len();
-                let n_in = self.routers[rid].inputs.len();
-                let vcs = self.config.vcs;
-                for out in 0..n_out {
-                    let start = self.routers[rid].rr[out];
-                    let mut winner: Option<(usize, usize)> = None;
-                    for k in 0..(n_in * vcs) {
-                        let idx = (start + k) % (n_in * vcs);
-                        let (inp, vc) = (idx / vcs, idx % vcs);
-                        let ivc = &self.routers[rid].inputs[inp][vc];
-                        let Some(&(flit, eligible)) = ivc.queue.front() else {
-                            continue;
-                        };
-                        if eligible > cycle {
-                            continue;
-                        }
-                        // Route (recomputed per flit; packets here are
-                        // short, so per-flit routing equals wormhole).
-                        let want = self.route(rid, flit.dst_router);
-                        if want != out {
-                            continue;
-                        }
-                        // VC allocation on the output: reuse the same VC
-                        // index downstream; need a credit (ejection
-                        // always has credit).
-                        let has_credit = self.routers[rid].outputs[out].dst_router.is_none()
-                            || self.routers[rid].outputs[out].credits[vc] > 0;
-                        if !has_credit {
-                            continue;
-                        }
-                        winner = Some((inp, vc));
-                        self.routers[rid].rr[out] = (idx + 1) % (n_in * vcs);
-                        break;
+            for router in 0..routers {
+                if self.buffers.occupancy[router] == 0 {
+                    continue;
+                }
+                let base = self.port_base[router];
+                let slots = (self.port_base[router + 1] - base) * vcs;
+                for port in base..self.port_base[router + 1] {
+                    // VC allocation on the output reuses the input's VC
+                    // index downstream and needs a credit there; ejection
+                    // always has credit.
+                    let ejection = self.downstream[port].is_none();
+                    let heads = &self.buffers.heads[port * words..(port + 1) * words];
+                    let queues = &self.buffers.queues[base * vcs..];
+                    let credits = &self.credits[port * vcs..(port + 1) * vcs];
+                    let winner = round_robin(heads, self.rr[port], slots, |slot| {
+                        let head = queues[slot].front().expect("indexed slot holds a flit");
+                        head.eligible <= cycle && (ejection || credits[slot % vcs] > 0)
+                    });
+                    let Some(slot) = winner else {
+                        continue;
+                    };
+                    self.rr[port] = (slot + 1) % slots;
+                    let vc = slot % vcs;
+                    let flit = self.buffers.pop(router, base, slot);
+                    if !ejection {
+                        self.credits[port * vcs + vc] -= 1;
                     }
-                    if let Some((inp, vc)) = winner {
-                        let (flit, _) = self.routers[rid].inputs[inp][vc]
-                            .queue
-                            .pop_front()
-                            .expect("winner has a flit");
-                        let latency = self.routers[rid].outputs[out].latency;
-                        if self.routers[rid].outputs[out].dst_router.is_some() {
-                            self.routers[rid].outputs[out].credits[vc] -= 1;
-                        }
-                        self.routers[rid].outputs[out].in_flight.push_back((
-                            cycle + latency,
-                            flit,
-                            vc,
-                        ));
-                        // Credit return: the buffer slot this flit just
-                        // freed belongs to the upstream channel feeding
-                        // input `inp` (port 0 is local injection).
-                        if inp != 0 {
-                            let upstream = self.routers[rid].out_dst[inp];
-                            let up_out = self.routers[upstream]
-                                .out_dst
-                                .iter()
-                                .position(|&d| d == rid)
-                                .expect("channels are symmetric");
-                            self.routers[upstream].outputs[up_out].credits[vc] += 1;
-                        }
+                    self.wires.push(OnWire { flit, port, vc });
+                    // Credit return: the buffer slot this flit just freed
+                    // belongs to the upstream channel feeding its input.
+                    if let Some(up) = self.upstream[base + slot / vcs] {
+                        self.credits[up * vcs + vc] += 1;
+                    }
+                    if self.buffers.occupancy[router] == 0 {
+                        break;
                     }
                 }
             }
@@ -456,6 +480,98 @@ impl FlitNetwork {
             backlog: in_network,
             saturated,
         })
+    }
+}
+
+/// The first slot in round-robin order from `start` (`start..slots`, then
+/// `0..start`) whose bit is set in `words` and which `accept`s.
+fn round_robin(
+    words: &[u64],
+    start: usize,
+    slots: usize,
+    mut accept: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    for (from, to) in [(start, slots), (0, start)] {
+        let mut w = from / 64;
+        while w * 64 < to {
+            let mut bits = words[w];
+            if w == from / 64 {
+                bits &= u64::MAX << (from % 64);
+            }
+            if to < (w + 1) * 64 {
+                bits &= (1 << (to % 64)) - 1;
+            }
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                if accept(slot) {
+                    return Some(slot);
+                }
+                bits &= bits - 1;
+            }
+            w += 1;
+        }
+    }
+    None
+}
+
+/// Neighbours of router `r` in output-port order (ports 1, 2, …).
+fn neighbors(kind: NocKind, grid: &Topology, r: usize) -> Vec<usize> {
+    let side = grid.side();
+    let (x, y) = grid.coords(r);
+    let mut out = Vec::new();
+    match kind {
+        NocKind::FlattenedButterfly => {
+            // Fully connected within row and column.
+            out.extend(
+                (0..side)
+                    .filter(|&nx| nx != x)
+                    .map(|nx| grid.node_at(nx, y)),
+            );
+            out.extend(
+                (0..side)
+                    .filter(|&ny| ny != y)
+                    .map(|ny| grid.node_at(x, ny)),
+            );
+        }
+        _ => {
+            if x + 1 < side {
+                out.push(grid.node_at(x + 1, y));
+            }
+            if x > 0 {
+                out.push(grid.node_at(x - 1, y));
+            }
+            if y + 1 < side {
+                out.push(grid.node_at(x, y + 1));
+            }
+            if y > 0 {
+                out.push(grid.node_at(x, y - 1));
+            }
+        }
+    }
+    out
+}
+
+/// Next router after `r` on the dimension-ordered route to `d` (≠ `r`).
+fn next_hop(kind: NocKind, grid: &Topology, r: usize, d: usize) -> usize {
+    let (x, y) = grid.coords(r);
+    let (dx, dy) = grid.coords(d);
+    match kind {
+        NocKind::FlattenedButterfly => {
+            if x != dx {
+                grid.node_at(dx, y)
+            } else {
+                grid.node_at(x, dy)
+            }
+        }
+        _ => {
+            if x != dx {
+                let nx = if dx > x { x + 1 } else { x - 1 };
+                grid.node_at(nx, y)
+            } else {
+                let ny = if dy > y { y + 1 } else { y - 1 };
+                grid.node_at(x, ny)
+            }
+        }
     }
 }
 
@@ -530,6 +646,61 @@ mod tests {
             ..FlitConfig::table4_mesh64(RouterClass::OneCycle)
         };
         assert!(FlitNetwork::new(bad).is_err());
+    }
+
+    fn rejected_field(config: FlitConfig) -> Option<&'static str> {
+        match FlitNetwork::new(config) {
+            Err(NocError::InvalidFlitConfig { field }) => Some(field),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn rejects_zero_vcs() {
+        // Regression: used to construct, then panic indexing VC 0.
+        let config = FlitConfig {
+            vcs: 0,
+            ..FlitConfig::table4_mesh64(RouterClass::OneCycle)
+        };
+        assert_eq!(rejected_field(config), Some("vcs"));
+    }
+
+    #[test]
+    fn rejects_zero_vc_buffer() {
+        // Regression: used to run to a 0-packet "saturated" result.
+        let config = FlitConfig {
+            vc_buffer_flits: 0,
+            ..FlitConfig::table4_mesh64(RouterClass::OneCycle)
+        };
+        assert_eq!(rejected_field(config), Some("vc_buffer_flits"));
+    }
+
+    #[test]
+    fn rejects_zero_packet_flits() {
+        // Regression: used to run to a 0-packet "saturated" result.
+        let config = FlitConfig {
+            packet_flits: 0,
+            ..FlitConfig::table4_mesh64(RouterClass::OneCycle)
+        };
+        assert_eq!(rejected_field(config), Some("packet_flits"));
+    }
+
+    #[test]
+    fn rejects_one_node_network() {
+        // Regression: a one-node mesh used to hang drawing a destination
+        // other than the only source.
+        let mut net = FlitNetwork::new(FlitConfig {
+            nodes: 1,
+            ..FlitConfig::table4_mesh64(RouterClass::OneCycle)
+        })
+        .expect("a one-node mesh constructs");
+        let err = net
+            .run(TrafficPattern::UniformRandom, 0.1, 1_000, 100, 7)
+            .unwrap_err();
+        assert!(
+            matches!(err, NocError::InvalidNodeCount { nodes: 1, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1401,4 +1401,24 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn rejects_one_node_network() {
+        // Regression: a one-node mesh used to hang drawing a destination
+        // other than the only source.
+        let net = crate::RouterNetwork::new(
+            crate::NocKind::Mesh,
+            1,
+            crate::RouterClass::OneCycle,
+            cryowire_device::Temperature::liquid_nitrogen(),
+        )
+        .expect("a one-node mesh constructs");
+        let err = Simulator::default()
+            .run(&net, TrafficPattern::UniformRandom, 0.1)
+            .unwrap_err();
+        assert!(
+            matches!(err, NocError::InvalidNodeCount { nodes: 1, .. }),
+            "{err:?}"
+        );
+    }
 }

@@ -60,9 +60,17 @@ impl TrafficPattern {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError`] for hot nodes out of range or non-probability
-    /// fractions.
+    /// Returns [`NocError::InvalidNodeCount`] for topologies of fewer than
+    /// two nodes (every pattern needs a destination other than the
+    /// source), and [`NocError`] for hot nodes out of range or
+    /// non-probability fractions.
     pub fn validate(&self, topo: &Topology) -> Result<(), NocError> {
+        if topo.nodes() < 2 {
+            return Err(NocError::InvalidNodeCount {
+                nodes: topo.nodes(),
+                requirement: "traffic needs at least two nodes",
+            });
+        }
         match *self {
             TrafficPattern::Hotspot { node, fraction } => {
                 if node >= topo.nodes() {
@@ -240,6 +248,23 @@ mod tests {
         .validate(&topo)
         .is_err());
         assert!(TrafficPattern::hotspot_default().validate(&topo).is_ok());
+    }
+
+    #[test]
+    fn one_node_topology_is_rejected() {
+        let topo = Topology::square(1).unwrap();
+        for pattern in [
+            TrafficPattern::UniformRandom,
+            TrafficPattern::Transpose,
+            TrafficPattern::hotspot_default(),
+            TrafficPattern::BitReverse,
+            TrafficPattern::burst_default(),
+        ] {
+            assert!(matches!(
+                pattern.validate(&topo),
+                Err(NocError::InvalidNodeCount { nodes: 1, .. })
+            ));
+        }
     }
 
     #[test]

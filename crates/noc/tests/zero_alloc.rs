@@ -1,8 +1,9 @@
 //! Counting-allocator proof that the steady-state hot loops allocate
 //! nothing: after one warm-up run populates the scratch (route arena +
 //! free vector), a further fault-free run must perform **zero** heap
-//! allocations, and a steady-state batched rate-grid run must allocate
-//! only its returned result vector. Kept in its own integration-test
+//! allocations, a steady-state batched rate-grid run must allocate only
+//! its returned result vector, and a repeated flit-level run must
+//! allocate nothing. Kept in its own integration-test
 //! binary (one test function, so no concurrent test can perturb the
 //! global counter) so the allocator hook does not interfere with other
 //! suites.
@@ -12,7 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cryowire_device::Temperature;
 use cryowire_faults::FaultSchedule;
-use cryowire_noc::{BatchSimScratch, CryoBus, SimConfig, SimScratch, Simulator, TrafficPattern};
+use cryowire_noc::{
+    BatchSimScratch, CryoBus, FlitConfig, FlitNetwork, RouterClass, SimConfig, SimScratch,
+    Simulator, TrafficPattern,
+};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -122,5 +126,31 @@ fn steady_state_hot_loop_allocates_nothing() {
         "steady-state batched loop must only allocate its result vector \
          (counted {} allocations)",
         after - before
+    );
+
+    // Flit-level engine: `run` resets its buffers in place, so once a
+    // warm-up run has sized every VC FIFO, injection queue and the wire
+    // list, an identical run allocates nothing.
+    let mut flit = FlitNetwork::new(FlitConfig {
+        packet_flits: 5,
+        ..FlitConfig::table4_mesh64(RouterClass::OneCycle)
+    })
+    .expect("valid flit network");
+    let run = |flit: &mut FlitNetwork| {
+        flit.run(TrafficPattern::UniformRandom, 0.01, 3_000, 500, 7)
+            .expect("valid flit run")
+    };
+    let warm_flit = run(&mut flit);
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let steady_flit = run(&mut flit);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert!(!steady_flit.saturated, "the flit leg must not saturate");
+    assert_eq!(warm_flit, steady_flit, "in-place reset changed the result");
+    assert_eq!(
+        after - before,
+        0,
+        "a repeated FlitNetwork::run must not allocate"
     );
 }

@@ -41,59 +41,91 @@ impl ContentionEstimate {
     /// Panics if `rate` is negative.
     #[must_use]
     pub fn estimate(network: &dyn Network, pattern: TrafficPattern, rate: f64) -> Self {
-        assert!(rate >= 0.0, "rate must be non-negative");
+        PathProfile::sample(network, pattern).estimate(rate)
+    }
+}
+
+/// The rate-independent half of an estimate: [`PATH_SAMPLES`] fixed-seed
+/// packet paths of one network under one pattern, reduced to what the
+/// queueing model needs. Sample once, then [`PathProfile::estimate`] at
+/// as many rates as wanted — the system model's fixed-point iteration
+/// does exactly that.
+#[derive(Debug, Clone)]
+pub(crate) struct PathProfile {
+    nodes: usize,
+    /// Expected occupancy per injected packet, per resource.
+    occ_per_packet: Vec<f64>,
+    /// Average zero-load latency, cycles.
+    zero_load: f64,
+    /// Every resource-holding leg of the sampled paths, in sample order:
+    /// (resource, occupancy cycles).
+    legs: Vec<(usize, f64)>,
+}
+
+impl PathProfile {
+    /// Samples the paths of `network` under `pattern`.
+    pub(crate) fn sample(network: &dyn Network, pattern: TrafficPattern) -> Self {
         let topo = *network.topology();
         let n = topo.nodes();
         let mut rng = StdRng::seed_from_u64(0x5EED);
 
-        // Sample paths: per-resource expected occupancy per injected
-        // packet, and the average path decomposition.
+        // Per-resource expected occupancy per injected packet, and the
+        // average path decomposition.
         let mut occ_per_packet = vec![0.0f64; network.resource_count()];
-        let mut zero_load_sum = 0.0;
-        let mut sampled_paths = Vec::with_capacity(PATH_SAMPLES);
+        let mut zero_load = 0.0;
+        let mut legs = Vec::new();
         for _ in 0..PATH_SAMPLES {
             let src = rng.gen_range(0..n);
             let dst = pattern.destination(src, &topo, &mut rng);
             let tag = rng.gen::<u64>();
-            let legs = network.path(src, dst, tag);
-            for leg in &legs {
+            for leg in network.path(src, dst, tag) {
                 if let Some(r) = leg.resource {
                     occ_per_packet[r] += leg.occupancy_cycles as f64 / PATH_SAMPLES as f64;
+                    legs.push((r, leg.occupancy_cycles as f64));
                 }
-                zero_load_sum += leg.traversal_cycles as f64 / PATH_SAMPLES as f64;
+                zero_load += leg.traversal_cycles as f64 / PATH_SAMPLES as f64;
             }
-            sampled_paths.push(legs);
         }
+        PathProfile {
+            nodes: n,
+            occ_per_packet,
+            zero_load,
+            legs,
+        }
+    }
 
+    /// The estimate at per-node `rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is negative.
+    pub(crate) fn estimate(&self, rate: f64) -> ContentionEstimate {
+        assert!(rate >= 0.0, "rate must be non-negative");
         // Utilisation of each resource: total injected packets/cycle ×
         // expected occupancy contributed per packet.
-        let injected_per_cycle = rate * n as f64;
-        let util: Vec<f64> = occ_per_packet
+        let injected_per_cycle = rate * self.nodes as f64;
+        let util: Vec<f64> = self
+            .occ_per_packet
             .iter()
             .map(|&o| injected_per_cycle * o)
             .collect();
         let peak = util.iter().copied().fold(0.0, f64::max);
 
-        // Average waiting time per packet: P-K wait at each leg's resource.
+        // Average waiting time per packet: P-K wait at each leg's
+        // resource, summed in sample order.
         let mut wait_sum = 0.0;
-        for legs in &sampled_paths {
-            for leg in legs {
-                if let Some(r) = leg.resource {
-                    // Clamp at 90 % utilisation: past that point the
-                    // throughput bound (enforced by the system model)
-                    // governs, and an unclamped P-K wait would double-count
-                    // the overload.
-                    let rho = util[r].min(0.90);
-                    let service = leg.occupancy_cycles as f64;
-                    wait_sum += rho * service / (2.0 * (1.0 - rho)) / PATH_SAMPLES as f64;
-                }
-            }
+        for &(r, service) in &self.legs {
+            // Clamp at 90 % utilisation: past that point the throughput
+            // bound (enforced by the system model) governs, and an
+            // unclamped P-K wait would double-count the overload.
+            let rho = util[r].min(0.90);
+            wait_sum += rho * service / (2.0 * (1.0 - rho)) / PATH_SAMPLES as f64;
         }
 
         ContentionEstimate {
             rate,
-            avg_latency: zero_load_sum + wait_sum,
-            zero_load_latency: zero_load_sum,
+            avg_latency: self.zero_load + wait_sum,
+            zero_load_latency: self.zero_load,
             peak_utilization: peak,
         }
     }

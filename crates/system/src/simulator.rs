@@ -12,7 +12,7 @@
 use cryowire_noc::TrafficPattern;
 
 use crate::config::{SystemDesign, SystemNoc};
-use crate::contention::ContentionEstimate;
+use crate::contention::PathProfile;
 use crate::workloads::Workload;
 
 /// Tunable model constants (documented calibration, not physics).
@@ -170,10 +170,17 @@ impl SystemSimulator {
         };
         let mut rate = 0.0;
         let mut bound_active = false;
+        // The sampled paths do not depend on the rate: sample them once
+        // and re-evaluate the queueing model on each iteration.
+        let profile = design
+            .noc
+            .network()
+            .map(|network| PathProfile::sample(network, TrafficPattern::UniformRandom));
 
         for _ in 0..p.iterations {
             rate = (access_per_inst * packets_per_access / (total_ns * f_noc)).min(0.9);
-            let (oneway_ns, sync_op_ns, util) = self.noc_costs(&design.noc, rate, f_noc);
+            let (oneway_ns, sync_op_ns, util) =
+                self.noc_costs(&design.noc, profile.as_ref(), rate, f_noc);
 
             // Exposed NoC time per access: directory pays multiple
             // traversals, snooping pays the transaction plus data wires.
@@ -242,35 +249,32 @@ impl SystemSimulator {
         }
     }
 
-    /// Per-NoC cost primitives at an offered rate: (average one-way
-    /// latency ns, per-core sync-operation cost ns, peak utilisation).
-    fn noc_costs(&self, noc: &SystemNoc, rate: f64, f_noc: f64) -> (f64, f64, f64) {
-        match noc {
-            SystemNoc::Ideal => (0.0, 0.0, 0.0),
-            SystemNoc::Mesh { network, .. } => {
-                let est =
-                    ContentionEstimate::estimate(network, TrafficPattern::UniformRandom, rate);
-                let oneway = est.avg_latency / f_noc;
-                // Directory sync: the shared line ping-pongs between
-                // cores, each round trip is two traversals.
-                let sync_op = self.params.dir_sync_roundtrips * 2.0 * oneway;
-                (oneway, sync_op, est.peak_utilization)
-            }
-            SystemNoc::SharedBus { bus } => {
-                let est = ContentionEstimate::estimate(bus, TrafficPattern::UniformRandom, rate);
-                let oneway = est.avg_latency / f_noc;
-                // Snooping sync: the bus pipelines barrier arrivals at one
-                // broadcast occupancy each.
-                let sync_op = bus.occupancy_cycles() as f64 / f_noc;
-                (oneway, sync_op, est.peak_utilization)
-            }
-            SystemNoc::CryoBus { bus } => {
-                let est = ContentionEstimate::estimate(bus, TrafficPattern::UniformRandom, rate);
-                let oneway = est.avg_latency / f_noc;
-                let sync_op = bus.occupancy_cycles() as f64 / f_noc / bus.ways() as f64;
-                (oneway, sync_op, est.peak_utilization)
-            }
-        }
+    /// Per-NoC cost primitives at an offered rate, from the NoC's sampled
+    /// `profile`: (average one-way latency ns, per-core sync-operation
+    /// cost ns, peak utilisation).
+    fn noc_costs(
+        &self,
+        noc: &SystemNoc,
+        profile: Option<&PathProfile>,
+        rate: f64,
+        f_noc: f64,
+    ) -> (f64, f64, f64) {
+        let Some(profile) = profile else {
+            return (0.0, 0.0, 0.0); // the ideal NoC
+        };
+        let est = profile.estimate(rate);
+        let oneway = est.avg_latency / f_noc;
+        let sync_op = match noc {
+            // Directory sync: the shared line ping-pongs between cores,
+            // each round trip is two traversals.
+            SystemNoc::Mesh { .. } => self.params.dir_sync_roundtrips * 2.0 * oneway,
+            // Snooping sync: the bus pipelines barrier arrivals at one
+            // broadcast occupancy each.
+            SystemNoc::SharedBus { bus } => bus.occupancy_cycles() as f64 / f_noc,
+            SystemNoc::CryoBus { bus } => bus.occupancy_cycles() as f64 / f_noc / bus.ways() as f64,
+            SystemNoc::Ideal => 0.0,
+        };
+        (oneway, sync_op, est.peak_utilization)
     }
 }
 
