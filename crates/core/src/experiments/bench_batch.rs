@@ -1,7 +1,7 @@
 //! The `bench-batch` throughput benchmark behind `BENCH_batch.json`.
 //!
-//! Times the batched lockstep engines against per-point scalar
-//! execution of the same grids:
+//! Times the batched engines against per-point scalar execution of the
+//! same grids:
 //!
 //! * **Core**: [`cryowire_ooo::run_batch_into`] steps every
 //!   configuration of a grid through one structure-of-arrays loop over
@@ -12,9 +12,10 @@
 //!   configurations (Table 3's column) and the `bench-core` design
 //!   grid.
 //! * **NoC**: [`cryowire_noc::Simulator::run_rates_with_scratch`] runs
-//!   a whole injection-rate grid through one cycle/source loop per
-//!   network, building the routing [`PathTable`] once per
-//!   (network, dead-set) for the entire grid.
+//!   each rate of an injection-rate grid through the scalar engine on
+//!   one embedded scratch, so the routing [`PathTable`] is built once
+//!   per (network, dead-set) for the entire grid — the batch's one real
+//!   advantage over per-point runs.
 //!
 //! The scalar baseline is the zero-allocation scalar engine executed
 //! the way the harness's scalar path executes a grid: one fresh scratch
@@ -110,8 +111,9 @@ pub fn ipc_validation_grid() -> Vec<(String, CoreConfig)> {
 }
 
 /// The NoC rate grid batched per network. The smoke grid widens the
-/// two-point `bench-noc` CI rates to six lanes so the lockstep loop has
-/// real width; the full grid is the Fig. 21 injection-rate sweep.
+/// two-point `bench-noc` CI rates to six lanes, so the shared route
+/// table serves six runs; the full grid is the Fig. 21 injection-rate
+/// sweep.
 #[must_use]
 pub fn bench_batch_rates(smoke: bool) -> Vec<f64> {
     if smoke {
@@ -233,8 +235,8 @@ fn core_point(
 
 /// Times one network's rate grid: scalar per-point pass (fresh
 /// [`SimScratch`] per rate, so the route table is rebuilt per point as
-/// the harness's scalar path does) vs one batched lockstep pass sharing
-/// a single [`PathTable`](cryowire_noc::PathTable), asserting per-lane
+/// the harness's scalar path does) vs one batched pass sharing a single
+/// [`PathTable`](cryowire_noc::PathTable), asserting per-lane
 /// bit-identity.
 fn noc_point(
     config: SimConfig,

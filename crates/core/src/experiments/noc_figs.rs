@@ -25,8 +25,9 @@ pub(crate) fn sweep(fidelity: Fidelity, rates: Vec<f64>) -> LoadLatencySweep {
 
 /// The one load–latency fan-out behind Figs. 18, 21, 25 and 26: sweeps
 /// `rates` over every network concurrently (one worker per network via
-/// the harness executor). Each network's curve is seeded independently,
-/// so the fan-out is bit-identical to running the networks one by one.
+/// the harness executor). Networks of one topology replay the same
+/// injection trace per rate, drawn once; every curve is bit-identical
+/// to running its network alone.
 fn load_latency_curves(
     fidelity: Fidelity,
     rates: Vec<f64>,

@@ -50,6 +50,19 @@ pub enum NocError {
         /// `packet_flits`.
         field: &'static str,
     },
+    /// A load–latency sweep over no injection rates: its curve would
+    /// have no points.
+    EmptyRateGrid,
+    /// A load–latency rate grid that is not strictly ascending (a curve
+    /// is read from low to high load, and stops after saturating).
+    UnorderedRateGrid {
+        /// Position of the offending rate in the grid.
+        index: usize,
+        /// The offending rate.
+        rate: f64,
+        /// The rate before it, which is not smaller.
+        previous: f64,
+    },
 }
 
 impl fmt::Display for NocError {
@@ -85,6 +98,16 @@ impl fmt::Display for NocError {
             NocError::InvalidFlitConfig { field } => {
                 write!(f, "flit config `{field}` must be at least 1")
             }
+            NocError::EmptyRateGrid => f.write_str("load-latency rate grid is empty"),
+            NocError::UnorderedRateGrid {
+                index,
+                rate,
+                previous,
+            } => write!(
+                f,
+                "load-latency rate grid must be strictly ascending: rate {rate} at \
+                 index {index} follows {previous}"
+            ),
         }
     }
 }

@@ -1,10 +1,15 @@
 //! Load–latency sweep harness (Fig. 18 / 21 / 25 / 26) and the workload
 //! injection-rate bands of Fig. 18.
 
+use std::sync::OnceLock;
+
 use cryowire_faults::FaultSchedule;
 
 use crate::error::{NocError, SimError};
-use crate::sim::{Network, SimConfig, SimScratch, Simulator};
+use crate::sim::{
+    check_rate, InjectionTrace, Network, SimConfig, SimResult, SimScratch, Simulator,
+};
+use crate::topology::Topology;
 use crate::traffic::TrafficPattern;
 
 /// Per-core request injection-rate band of a workload suite
@@ -134,26 +139,62 @@ impl LoadLatencySweep {
     /// per network (the Fig. 21/25 fan-out), via the
     /// [`cryowire_harness::Executor`] point executor.
     ///
+    /// Fault-free injection traces do not depend on the network (see
+    /// the [`crate::sim`] module docs), so networks of one topology
+    /// share them: the first network to reach a rate draws its trace and
+    /// every network replays it. Each curve still stops after its own
+    /// second saturated point, and rates no network reaches are never
+    /// drawn. The curves are bit-identical to running [`Self::run`] on
+    /// each network in turn.
+    ///
     /// # Errors
     ///
-    /// Propagates the first simulation error encountered.
+    /// Returns a rate-grid error (see [`Self::run`]) before running
+    /// anything; otherwise propagates the first simulation error in
+    /// network order.
     pub fn run_many(
         &self,
         networks: &[&(dyn Network + Sync)],
         pattern: TrafficPattern,
     ) -> Result<Vec<LoadLatencyCurve>, NocError> {
+        self.validate_rates()?;
+        let mut books: Vec<TraceBook> = Vec::new();
+        let book_of: Vec<usize> = networks
+            .iter()
+            .map(|net| {
+                let topology = *net.topology();
+                books
+                    .iter()
+                    .position(|book| book.topology == topology)
+                    .unwrap_or_else(|| {
+                        books.push(TraceBook {
+                            topology,
+                            traces: self.rates.iter().map(|_| OnceLock::new()).collect(),
+                        });
+                        books.len() - 1
+                    })
+            })
+            .collect();
         cryowire_harness::Executor::new(networks.len())
-            .run(networks, |_, net| self.run(*net, pattern))
+            .run(networks, |i, net| {
+                self.replay_curve(*net, pattern, &books[book_of[i]])
+            })
             .into_iter()
             .collect()
     }
 
-    /// Runs the sweep; the curve stops two points after first saturation
+    /// Runs the sweep; the curve stops after its second saturated point
     /// (enough to show the hockey stick without wasting cycles).
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors (invalid rates or patterns).
+    /// Returns [`NocError::EmptyRateGrid`],
+    /// [`NocError::InvalidInjectionRate`] or
+    /// [`NocError::UnorderedRateGrid`] unless the rate grid is non-empty,
+    /// every rate is in `[0, 1]` and the grid is strictly ascending —
+    /// checked for the whole grid up front, whether or not the curve
+    /// would reach every rate — and propagates simulation errors
+    /// (invalid windows or patterns).
     pub fn run(
         &self,
         network: &dyn Network,
@@ -179,21 +220,51 @@ impl LoadLatencySweep {
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors, including the watchdog's
-    /// [`SimError::Stalled`].
+    /// The rate-grid errors of [`Self::run`], and simulation errors,
+    /// including the watchdog's [`SimError::Stalled`].
     pub fn run_with_faults(
         &self,
         network: &dyn Network,
         pattern: TrafficPattern,
         faults: &FaultSchedule,
     ) -> Result<LoadLatencyCurve, SimError> {
+        self.validate_rates()?;
         let mut scratch = SimScratch::new();
+        self.curve(network, |_, rate| {
+            self.sim
+                .run_with_scratch(network, pattern, rate, faults, &mut scratch)
+        })
+    }
+
+    /// One [`Self::run_many`] curve: replays `book`'s traces, drawing
+    /// each on first use.
+    fn replay_curve(
+        &self,
+        network: &dyn Network,
+        pattern: TrafficPattern,
+        book: &TraceBook,
+    ) -> Result<LoadLatencyCurve, NocError> {
+        self.sim.validate(network, pattern)?;
+        let mut scratch = SimScratch::new();
+        self.curve(network, |i, rate| {
+            let trace =
+                book.traces[i].get_or_init(|| self.sim.draw_trace(pattern, &book.topology, rate));
+            Ok(self.sim.replay_trace(network, trace, rate, &mut scratch))
+        })
+    }
+
+    /// Walks the rate grid in order, taking each point from `point`
+    /// (given the rate's grid index and the rate), and stops after the
+    /// second saturated point.
+    fn curve<E>(
+        &self,
+        network: &dyn Network,
+        mut point: impl FnMut(usize, f64) -> Result<SimResult, E>,
+    ) -> Result<LoadLatencyCurve, E> {
         let mut points = Vec::new();
         let mut saturated_seen = 0;
-        for &rate in &self.rates {
-            let r = self
-                .sim
-                .run_with_scratch(network, pattern, rate, faults, &mut scratch)?;
+        for (i, &rate) in self.rates.iter().enumerate() {
+            let r = point(i, rate)?;
             points.push(LoadLatencyPoint {
                 rate,
                 latency: r.avg_latency,
@@ -211,6 +282,35 @@ impl LoadLatencySweep {
             points,
         })
     }
+
+    /// Checks the whole rate grid: non-empty, every rate a probability,
+    /// strictly ascending.
+    fn validate_rates(&self) -> Result<(), NocError> {
+        if self.rates.is_empty() {
+            return Err(NocError::EmptyRateGrid);
+        }
+        for &rate in &self.rates {
+            check_rate(rate)?;
+        }
+        for (i, pair) in self.rates.windows(2).enumerate() {
+            if pair[1] <= pair[0] {
+                return Err(NocError::UnorderedRateGrid {
+                    index: i + 1,
+                    rate: pair[1],
+                    previous: pair[0],
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The fault-free injection traces of one topology in a
+/// [`LoadLatencySweep::run_many`] fan-out: one slot per rate of the
+/// grid, drawn by the first network that reaches it.
+struct TraceBook {
+    topology: Topology,
+    traces: Vec<OnceLock<InjectionTrace>>,
 }
 
 #[cfg(test)]
@@ -278,6 +378,92 @@ mod tests {
             .unwrap();
         assert!(curve.zero_load_latency() >= 5.0);
         assert!(curve.saturation_rate().is_some());
+    }
+
+    /// Every entry point's verdict on `rates` for `network`: the curve's
+    /// point count, or the `NocError` it reports.
+    fn verdicts(rates: Vec<f64>, network: &(dyn Network + Sync)) -> [Result<usize, NocError>; 3] {
+        let sweep = quick_sweep(rates);
+        let pattern = TrafficPattern::UniformRandom;
+        [
+            sweep.run(network, pattern).map(|c| c.points.len()),
+            sweep
+                .run_with_faults(network, pattern, &FaultSchedule::default())
+                .map(|c| c.points.len())
+                .map_err(|e| match e {
+                    SimError::Noc(e) => e,
+                    other => panic!("unexpected {other:?}"),
+                }),
+            sweep
+                .run_many(&[network], pattern)
+                .map(|c| c[0].points.len()),
+        ]
+    }
+
+    fn mesh() -> crate::RouterNetwork {
+        crate::RouterNetwork::new(
+            crate::NocKind::Mesh,
+            64,
+            crate::RouterClass::OneCycle,
+            Temperature::liquid_nitrogen(),
+        )
+        .expect("valid mesh")
+    }
+
+    #[test]
+    fn rejects_an_invalid_rate_the_curve_would_never_reach() {
+        // The bus saturates twice before 1.5, so checking rates only as
+        // the curve reached them returned a 3-point curve here while the
+        // mesh (which never saturates) reported the bad rate.
+        let bus = SharedBus::new(64, Temperature::liquid_nitrogen());
+        for network in [&bus as &(dyn Network + Sync), &mesh()] {
+            for verdict in verdicts(vec![0.001, 0.02, 0.03, 0.05, 1.5, f64::NAN], network) {
+                assert_eq!(
+                    verdict,
+                    Err(NocError::InvalidInjectionRate { rate: 1.5 }),
+                    "{}",
+                    network.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_grid_that_is_not_strictly_ascending() {
+        // A descending grid used to return a bus curve whose "zero-load
+        // latency" was its saturated first point (tens of thousands of
+        // cycles).
+        let bus = SharedBus::new(64, Temperature::liquid_nitrogen());
+        for verdict in verdicts(vec![0.05, 0.03, 0.001], &bus) {
+            assert_eq!(
+                verdict,
+                Err(NocError::UnorderedRateGrid {
+                    index: 1,
+                    rate: 0.03,
+                    previous: 0.05
+                })
+            );
+        }
+        for verdict in verdicts(vec![0.001, 0.004, 0.004], &bus) {
+            assert_eq!(
+                verdict,
+                Err(NocError::UnorderedRateGrid {
+                    index: 2,
+                    rate: 0.004,
+                    previous: 0.004
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_an_empty_grid() {
+        // An empty grid used to return a point-less curve whose
+        // `zero_load_latency()` panicked.
+        let bus = SharedBus::new(64, Temperature::liquid_nitrogen());
+        for verdict in verdicts(Vec::new(), &bus) {
+            assert_eq!(verdict, Err(NocError::EmptyRateGrid));
+        }
     }
 
     #[test]

@@ -9,18 +9,26 @@
 //! the per-packet cost in the simulator drops from a heap-allocating
 //! [`Network::path`] call to an index computation and a slice borrow.
 //!
-//! Identical leg sequences are hash-consed into one arena window during
+//! Identical leg sequences are interned into one arena window during
 //! the build: on bus-style networks every `(src, dst)` pair shares the
 //! same handful of per-way routes, so the arena collapses to a few legs
-//! and the hot loop stays cache-resident instead of striding through
-//! `nodes² · classes` duplicated paths. Each offset-table entry also
+//! (the single-way bus to one path) and the hot loop stays
+//! cache-resident instead of striding through `nodes² · classes`
+//! duplicated paths. Interning keys each window by a 64-bit fingerprint
+//! of its legs and confirms a fingerprint match against the window
+//! already in the arena, so the build neither SipHashes a route nor
+//! stores a second copy of it — on a mesh, where no two routes are
+//! equal, that copy used to double the build's memory. A fingerprint collision
+//! between different routes just stores its own window, so every lookup
+//! is the same as without interning. Each offset-table entry also
 //! carries its precomputed zero-load latency, so a lookup touches one
 //! 16-byte entry plus the (shared) legs.
 //!
 //! Rebuilding on a fault epoch (a new dead-resource set) reuses the
 //! arena's allocations; steady-state lookups never allocate.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{self, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::sim::{Network, PacketLeg};
 
@@ -79,9 +87,9 @@ impl PathTable {
         self.entries.clear();
         self.legs.clear();
         self.entries.reserve(n * n * self.classes);
-        // Hash-consing map: identical leg sequences share one window.
-        // Only lives for the duration of the (cold) build.
-        let mut interned: HashMap<Vec<PacketLeg>, (u32, u32)> = HashMap::new();
+        // Fingerprint → first arena window with that fingerprint. Only
+        // lives for the duration of the (cold) build.
+        let mut windows = Windows::default();
         for src in 0..n {
             for dst in 0..n {
                 for class in 0..self.classes {
@@ -102,32 +110,19 @@ impl PathTable {
                     } else {
                         network.path_avoiding(src, dst, tag, dead)
                     };
-                    match route {
+                    let entry = match route {
                         Some(route) => {
+                            let (start, len) = intern(&mut self.legs, &mut windows, &route);
                             let zero = route.iter().map(|l| l.traversal_cycles).sum();
-                            let legs = &mut self.legs;
-                            let (start, len) = *interned.entry(route).or_insert_with_key(|route| {
-                                let start = u32::try_from(legs.len())
-                                    .expect("route arena exceeds u32 offsets");
-                                let len =
-                                    u32::try_from(route.len()).expect("route exceeds u32 legs");
-                                assert!(
-                                    len != Entry::UNROUTABLE,
-                                    "route length sentinel collision"
-                                );
-                                legs.extend_from_slice(route);
-                                (start, len)
-                            });
-                            self.entries.push(Entry { start, len, zero });
+                            Entry { start, len, zero }
                         }
-                        None => {
-                            self.entries.push(Entry {
-                                start: 0,
-                                len: Entry::UNROUTABLE,
-                                zero: 0,
-                            });
-                        }
-                    }
+                        None => Entry {
+                            start: 0,
+                            len: Entry::UNROUTABLE,
+                            zero: 0,
+                        },
+                    };
+                    self.entries.push(entry);
                 }
             }
         }
@@ -153,6 +148,75 @@ impl PathTable {
         }
         let start = entry.start as usize;
         Some((&self.legs[start..start + entry.len as usize], entry.zero))
+    }
+}
+
+/// Interning map of a build: route fingerprint → the first arena window
+/// (`start`, `len`) stored under it.
+type Windows = HashMap<u64, (u32, u32), BuildHasherDefault<FingerprintHasher>>;
+
+/// The arena window holding `route`: the window already stored under
+/// its fingerprint if that window holds the same legs, otherwise a new
+/// window appended to `legs`. On a fingerprint collision the map keeps
+/// the first window and the colliding route gets its own, unshared one.
+fn intern(legs: &mut Vec<PacketLeg>, windows: &mut Windows, route: &[PacketLeg]) -> (u32, u32) {
+    match windows.entry(fingerprint(route)) {
+        hash_map::Entry::Occupied(slot) => {
+            let (start, len) = *slot.get();
+            let first = start as usize;
+            if legs[first..first + len as usize] == *route {
+                (start, len)
+            } else {
+                append(legs, route)
+            }
+        }
+        hash_map::Entry::Vacant(slot) => *slot.insert(append(legs, route)),
+    }
+}
+
+/// Appends `route` to the arena as a new window.
+fn append(legs: &mut Vec<PacketLeg>, route: &[PacketLeg]) -> (u32, u32) {
+    let start = u32::try_from(legs.len()).expect("route arena exceeds u32 offsets");
+    let len = u32::try_from(route.len()).expect("route exceeds u32 legs");
+    assert!(len != Entry::UNROUTABLE, "route length sentinel collision");
+    legs.extend_from_slice(route);
+    (start, len)
+}
+
+/// A 64-bit fingerprint of a leg sequence: a multiply–rotate fold over
+/// every leg field, finished with the splitmix64 mixer so the low bits
+/// the hash table indexes by depend on every leg.
+fn fingerprint(route: &[PacketLeg]) -> u64 {
+    let mut h = route.len() as u64;
+    for leg in route {
+        let resource = leg.resource.map_or(u64::MAX, |r| r as u64);
+        for word in [resource, leg.occupancy_cycles, leg.traversal_cycles] {
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Hasher for keys that already are fingerprints: passes the `u64`
+/// through instead of hashing it again.
+#[derive(Debug, Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
     }
 }
 
@@ -195,6 +259,21 @@ mod tests {
         let one_path = bus.path(0, 1, 0).len();
         assert_eq!(table.legs.len(), one_path, "bus arena should dedupe");
         assert_eq!(table.entries.len(), 64 * 64);
+    }
+
+    #[test]
+    fn fingerprint_collision_stores_its_own_window() {
+        let a = [PacketLeg::on(0, 1, 2), PacketLeg::latency(3)];
+        let b = [PacketLeg::on(1, 1, 2), PacketLeg::latency(3)];
+        let mut legs = Vec::new();
+        let mut windows = Windows::default();
+        let wa = intern(&mut legs, &mut windows, &a);
+        // Make `b` collide with `a`: file a's window under b's fingerprint.
+        windows.insert(fingerprint(&b), wa);
+        let wb = intern(&mut legs, &mut windows, &b);
+        assert_ne!(wa, wb, "a colliding route must not share the window");
+        assert_eq!(legs[wb.0 as usize..][..wb.1 as usize], b);
+        assert_eq!(intern(&mut legs, &mut windows, &a), wa);
     }
 
     #[test]

@@ -17,14 +17,38 @@
 //! [`PathTable`](crate::route_cache::PathTable) arena (legal because
 //! routing is a pure function of `(src, dst, tag % route_classes, dead)`
 //! — see [`Network::route_classes`]), and all mutable run state lives in
-//! a reusable [`SimScratch`]. The route cache consumes no randomness, so
-//! the RNG draw order — injection gate, destination, tag, flit-loss
-//! retries — is exactly that of the retained naive engine in
-//! [`reference`], which the equivalence test-suite pins bit-for-bit.
+//! a reusable [`SimScratch`].
+//!
+//! A fault-free run is one kernel in two halves. *Draw* generates the
+//! run's injection trace, a (cycle, src, dst, tag) record per injected
+//! packet, in the engine's RNG order: one gate draw per node per cycle
+//! (burst-off cycles, where `p ≤ 0`, included), then the pattern's
+//! destination draws, then the tag. *Replay* pushes those records in
+//! order through a network's route table and resource `free` vector.
+//! The gate, destination and tag draws never depend on the network, so
+//! a trace is a function of the topology, pattern, rate, seed and window
+//! alone: [`LoadLatencySweep::run_many`] draws each (topology, rate)
+//! trace once and every network of the fan-out replays it, paying the
+//! draws once instead of once per network. A single run draws and
+//! replays in fixed chunks of cycles through a grow-only buffer in its
+//! scratch, so its memory does not grow with the window. Faulted runs
+//! are the exception: flit-loss retries draw from the same stream per
+//! lossy leg, so the draws depend on the network's routes, and
+//! [`Simulator::run_with_faults`] keeps its own fused loop.
+//!
+//! The route cache consumes no randomness, so the RNG draw order —
+//! injection gate, destination, tag, flit-loss retries — is exactly that
+//! of the retained naive engine in [`reference`], which the equivalence
+//! test-suite pins bit-for-bit.
+//!
+//! [`LoadLatencySweep::run_many`]: crate::load_latency::LoadLatencySweep::run_many
+
+use std::fmt;
+use std::ops::Range;
 
 use cryowire_faults::{FaultSchedule, LinkState};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::error::{NocError, SimError};
 use crate::route_cache::PathTable;
@@ -217,28 +241,78 @@ pub struct SimResult {
     pub unrouted: u64,
 }
 
-/// Reusable per-run mutable state: the resource `free` vector plus one
-/// memoized [`PathTable`] per dead-set epoch seen so far.
+/// Reusable per-run mutable state: the resource `free` vector, one
+/// memoized [`PathTable`] per dead-set epoch seen so far, and the chunk
+/// buffer of the fault-free engine's injection trace.
 ///
-/// A scratch is bound to one network (by address identity); passing a
-/// different network rebuilds everything, so reuse only pays off when
-/// the same network object is swept repeatedly — exactly the
-/// load–latency sweep shape, where
+/// A scratch borrows the network it serves (`'n`). Runs over the same
+/// network object reuse its route tables; a run over a different network
+/// rebuilds them. Reuse pays off when one network is swept repeatedly —
+/// exactly the load–latency sweep shape, where
 /// [`LoadLatencySweep`](crate::load_latency::LoadLatencySweep) shares
 /// one scratch across all rate points. After the first run warms the
-/// tables, subsequent fault-free runs perform **zero heap allocations**
-/// (pinned by the counting-allocator test in `tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
-pub struct SimScratch {
+/// tables, subsequent identical fault-free runs perform **zero heap
+/// allocations** (pinned by the counting-allocator test in
+/// `tests/zero_alloc.rs`).
+///
+/// Because of the borrow, a network cannot be dropped, and another one
+/// built at its address, while a scratch still holds its routes — the
+/// scratch would take the newcomer for the network it knows. A loop that
+/// builds one network per iteration and reuses an outer scratch
+/// therefore does not compile:
+///
+/// ```compile_fail,E0597
+/// use cryowire_device::Temperature;
+/// use cryowire_faults::FaultSchedule;
+/// use cryowire_noc::{
+///     NocKind, RouterClass, RouterNetwork, SimScratch, Simulator, TrafficPattern,
+/// };
+///
+/// let sim = Simulator::default();
+/// let mut scratch = SimScratch::new();
+/// for class in [RouterClass::OneCycle, RouterClass::ThreeCycle] {
+///     let t77 = Temperature::liquid_nitrogen();
+///     let mesh = RouterNetwork::new(NocKind::Mesh, 64, class, t77).unwrap();
+///     let faults = FaultSchedule::default();
+///     let pattern = TrafficPattern::UniformRandom;
+///     sim.run_with_scratch(&mesh, pattern, 0.01, &faults, &mut scratch)
+///         .unwrap();
+/// }
+/// ```
+///
+/// Networks that outlive the scratch can share it:
+///
+/// ```
+/// # use cryowire_device::Temperature;
+/// # use cryowire_faults::FaultSchedule;
+/// # use cryowire_noc::{
+/// #     NocKind, RouterClass, RouterNetwork, SimScratch, Simulator, TrafficPattern,
+/// # };
+/// let sim = Simulator::default();
+/// let t77 = Temperature::liquid_nitrogen();
+/// let meshes = [RouterClass::OneCycle, RouterClass::ThreeCycle]
+///     .map(|class| RouterNetwork::new(NocKind::Mesh, 64, class, t77).unwrap());
+/// let mut scratch = SimScratch::new();
+/// for mesh in &meshes {
+///     let faults = FaultSchedule::default();
+///     let pattern = TrafficPattern::UniformRandom;
+///     sim.run_with_scratch(mesh, pattern, 0.01, &faults, &mut scratch)
+///         .unwrap();
+/// }
+/// ```
+#[derive(Default)]
+pub struct SimScratch<'n> {
     free: Vec<u64>,
     /// `(dead set, memoized routes)` pairs; epoch 0 is always the empty
     /// dead set. Kept across runs so a sweep rebuilds nothing.
     epochs: Vec<(Vec<usize>, PathTable)>,
-    /// Address identity of the network the epochs were built for.
-    net_token: usize,
+    /// The network the epochs were built for.
+    network: Option<&'n dyn Network>,
+    /// The current chunk of a fault-free run's injection trace.
+    trace: InjectionTrace,
 }
 
-impl SimScratch {
+impl<'n> SimScratch<'n> {
     /// An empty scratch; the first run populates it.
     #[must_use]
     pub fn new() -> Self {
@@ -246,11 +320,16 @@ impl SimScratch {
     }
 
     /// Binds the scratch to `network`, discarding memoized routes that
-    /// belong to a different network object.
-    fn bind(&mut self, network: &dyn Network) {
-        let token = std::ptr::from_ref(network).cast::<u8>() as usize;
-        if token != self.net_token {
-            self.net_token = token;
+    /// belong to a different network object. Comparing the (address,
+    /// vtable) pair is sound because the scratch borrows every network
+    /// it serves: two live networks never share both, unless they are
+    /// zero-sized values of one type, with no state to route by.
+    fn bind(&mut self, network: &'n dyn Network) {
+        if !self
+            .network
+            .is_some_and(|bound| std::ptr::eq(bound, network))
+        {
+            self.network = Some(network);
             self.epochs.clear();
         }
         self.free.resize(network.resource_count(), 0);
@@ -258,41 +337,158 @@ impl SimScratch {
     }
 }
 
-/// Per-rate lane state for the batched lockstep engine: its own RNG
-/// (streams diverge across rates as soon as one lane's injection gate
-/// passes and another's does not) and its own measurement accumulators.
-#[derive(Debug)]
-struct RateLane {
-    rng: StdRng,
-    rate: f64,
-    measured_total: u64,
-    measured_count: u64,
-    zero_load_sum: u64,
+impl fmt::Debug for SimScratch<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimScratch")
+            .field("network", &self.network.map(|n| n.name()))
+            .field("epochs", &self.epochs.len())
+            .field("resources", &self.free.len())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Reusable state for batched rate-grid runs
 /// ([`Simulator::run_rates_with_scratch`]): an embedded [`SimScratch`]
 /// whose memoized [`PathTable`] serves *every* rate in the batch (one
-/// route rebuild per (network, dead-set) for the whole grid), plus a
-/// lane-major `free` slab — lane `l` owns
-/// `free[l * resources..(l + 1) * resources]` — and the per-lane RNG /
-/// accumulator state.
+/// route rebuild per (network, dead-set) for the whole grid).
 ///
 /// Grow-only like the other scratches: after the first batch warms the
-/// slab and the route table, steady-state batched runs perform zero
-/// heap allocations (pinned by `tests/zero_alloc.rs`).
+/// route table and the trace buffer, steady-state batched runs allocate
+/// only their result vector (pinned by `tests/zero_alloc.rs`).
 #[derive(Debug, Default)]
-pub struct BatchSimScratch {
-    base: SimScratch,
-    free: Vec<u64>,
-    lanes: Vec<RateLane>,
+pub struct BatchSimScratch<'n> {
+    base: SimScratch<'n>,
 }
 
-impl BatchSimScratch {
+impl BatchSimScratch<'_> {
     /// An empty scratch; the first batched run populates it.
     #[must_use]
     pub fn new() -> Self {
         BatchSimScratch::default()
+    }
+}
+
+/// Cycles a single fault-free run draws before replaying them: small
+/// enough that the chunk's trace stays cache-resident, large enough to
+/// amortize the switch between the two halves.
+const CHUNK_CYCLES: u64 = 64;
+
+/// One packet of an injection trace.
+#[derive(Debug, Clone, Copy)]
+struct Injection {
+    cycle: u64,
+    tag: u64,
+    src: u32,
+    dst: u32,
+}
+
+/// The packets a fault-free run injects over a span of cycles, in
+/// injection order — the network-independent half of the engine (see
+/// the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct InjectionTrace {
+    injections: Vec<Injection>,
+}
+
+impl InjectionTrace {
+    /// Replaces the trace with the injections of `cycles`, continuing
+    /// `rng`'s stream: one gate draw per node per cycle, then for each
+    /// injecting node the pattern's destination draws and the tag.
+    fn draw(
+        &mut self,
+        rng: &mut StdRng,
+        pattern: TrafficPattern,
+        topo: &Topology,
+        rate: f64,
+        cycles: Range<u64>,
+    ) {
+        self.injections.clear();
+        let n = topo.nodes();
+        for cycle in cycles {
+            let p = rate * pattern.burst_scale(cycle);
+            if p <= 0.0 {
+                // Preserve the RNG stream: every node still consumes its
+                // injection-gate draw even in a zero-injection cycle
+                // (burst off-phases), it just cannot pass the gate.
+                for _ in 0..n {
+                    let _ = rng.next_u64();
+                }
+                continue;
+            }
+            let threshold = gate_threshold(p);
+            let mut src = 0;
+            loop {
+                // Gate draws alone until a node injects: a loop without
+                // calls keeps the RNG state in registers.
+                while src < n && rng.next_u64() >> 11 >= threshold {
+                    src += 1;
+                }
+                if src == n {
+                    break;
+                }
+                let dst = pattern.destination(src, topo, rng);
+                let tag = rng.gen::<u64>();
+                self.injections.push(Injection {
+                    cycle,
+                    tag,
+                    src: u32::try_from(src).expect("node index exceeds u32"),
+                    dst: u32::try_from(dst).expect("node index exceeds u32"),
+                });
+                src += 1;
+            }
+        }
+    }
+}
+
+/// The threshold that turns the injection gate `rng.gen::<f64>() < p`
+/// into an integer comparison, saving an int-to-float conversion and a
+/// multiply per gate draw. `gen::<f64>()` is exactly
+/// `(next_u64() >> 11) · 2⁻⁵³`, so it is below `p` exactly when the
+/// 53-bit draw `next_u64() >> 11` is below `⌈p · 2⁵³⌉`: scaling by a
+/// power of two is exact, a `p` of 1 or more gives a threshold above
+/// every draw (the cast saturates), and a NaN `p` gives 0, which no draw
+/// passes.
+fn gate_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Measurement accumulators of one run: packets injected at or after
+/// the warm-up, their summed latency and summed zero-load latency.
+#[derive(Debug, Default)]
+struct Tally {
+    latency: u64,
+    packets: u64,
+    zero_load: u64,
+}
+
+/// The network half of the fault-free engine: reserves every packet of
+/// `trace`, in order, along its memoized route in `table`, and tallies
+/// the packets injected at or after `warmup`.
+fn replay(
+    trace: &InjectionTrace,
+    table: &PathTable,
+    free: &mut [u64],
+    warmup: u64,
+    tally: &mut Tally,
+) {
+    for inj in &trace.injections {
+        let (legs, zero) = table
+            .lookup(inj.src as usize, inj.dst as usize, inj.tag)
+            .expect("fault-free routes always exist");
+        let mut t = inj.cycle;
+        for leg in legs {
+            if let Some(r) = leg.resource {
+                let start = t.max(free[r]);
+                free[r] = start + leg.occupancy_cycles;
+                t = start;
+            }
+            t += leg.traversal_cycles;
+        }
+        if inj.cycle >= warmup {
+            tally.latency += t - inj.cycle;
+            tally.packets += 1;
+            tally.zero_load += zero;
+        }
     }
 }
 
@@ -311,6 +507,15 @@ fn epoch_index(
     table.rebuild(network, dead);
     epochs.push((dead.to_vec(), table));
     epochs.len() - 1
+}
+
+/// Rejects injection rates that are not probabilities.
+pub(crate) fn check_rate(rate: f64) -> Result<(), NocError> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(NocError::InvalidInjectionRate { rate })
+    }
 }
 
 /// The reservation-based contention simulator.
@@ -379,28 +584,25 @@ impl Simulator {
     }
 
     /// Like [`Simulator::run_with_faults`], but reusing `scratch` —
-    /// memoized route tables and the resource-reservation vector — so
-    /// repeated runs over the same network (a load–latency sweep)
-    /// allocate nothing in steady state.
+    /// memoized route tables, the resource-reservation vector and the
+    /// trace chunk buffer — so repeated runs over the same network (a
+    /// load–latency sweep) allocate nothing in steady state.
     ///
     /// # Errors
     ///
     /// As for [`Simulator::run_with_faults`].
-    pub fn run_with_scratch(
+    pub fn run_with_scratch<'n>(
         &self,
-        network: &dyn Network,
+        network: &'n dyn Network,
         pattern: TrafficPattern,
         rate: f64,
         faults: &FaultSchedule,
-        scratch: &mut SimScratch,
+        scratch: &mut SimScratch<'n>,
     ) -> Result<SimResult, SimError> {
-        if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-            return Err(NocError::InvalidInjectionRate { rate }.into());
-        }
-        self.config.validate()?;
-        let topo = *network.topology();
-        pattern.validate(&topo)?;
+        check_rate(rate)?;
+        self.validate(network, pattern)?;
         scratch.bind(network);
+        let topo = *network.topology();
         if faults.is_empty() {
             Ok(self.run_fault_free(network, pattern, rate, &topo, scratch))
         } else {
@@ -408,201 +610,115 @@ impl Simulator {
         }
     }
 
-    /// Runs a whole rate grid over `network` in lockstep, returning one
+    /// Runs a whole rate grid over `network`, returning one
     /// [`SimResult`] per rate (same order), each bit-identical to a
     /// scalar [`Simulator::run_with_scratch`] call at that rate.
     ///
-    /// The fault-free engine steps every rate lane per (cycle, src)
-    /// through one loop: routing is memoized once in the shared
-    /// [`PathTable`] for the whole grid, and each lane draws from its
-    /// own seeded RNG in exactly the scalar per-rate order (the gate /
-    /// destination / tag draws of a lane depend on that lane's gate
-    /// outcomes, so streams cannot be shared across rates). A non-empty
-    /// fault schedule falls back to scalar runs through the embedded
-    /// scratch — fault state transitions are control-flow-heavy enough
-    /// that lockstepping them buys nothing.
+    /// Every rate runs through the embedded scratch, so routing is
+    /// memoized once in the shared [`PathTable`] for the whole grid. (The
+    /// draws of a rate depend on that rate's gate outcomes, so traces
+    /// cannot be shared across rates, only across networks — see the
+    /// module docs.)
     ///
     /// # Errors
     ///
     /// As for [`Simulator::run_with_scratch`]; the first offending rate
     /// (in grid order) reports the error.
-    pub fn run_rates_with_scratch(
+    pub fn run_rates_with_scratch<'n>(
         &self,
-        network: &dyn Network,
+        network: &'n dyn Network,
         pattern: TrafficPattern,
         rates: &[f64],
         faults: &FaultSchedule,
-        scratch: &mut BatchSimScratch,
+        scratch: &mut BatchSimScratch<'n>,
     ) -> Result<Vec<SimResult>, SimError> {
         for &rate in rates {
-            if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-                return Err(NocError::InvalidInjectionRate { rate }.into());
-            }
+            check_rate(rate)?;
         }
-        self.config.validate()?;
-        let topo = *network.topology();
-        pattern.validate(&topo)?;
-        if rates.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !faults.is_empty() {
-            // Sequential fallback, still sharing the memoized routes.
-            let mut out = Vec::with_capacity(rates.len());
-            for &rate in rates {
-                out.push(self.run_with_scratch(
-                    network,
-                    pattern,
-                    rate,
-                    faults,
-                    &mut scratch.base,
-                )?);
-            }
-            return Ok(out);
-        }
-
-        scratch.base.bind(network);
-        let BatchSimScratch { base, free, lanes } = scratch;
-        let table_idx = epoch_index(&mut base.epochs, network, &[]);
-        let table = &base.epochs[table_idx].1;
-        let n = topo.nodes();
-        // `chunks_mut` needs a positive chunk size; a resource-less
-        // network gets one padding slot per lane (never indexed, and
-        // `finish` reads the same zero backlog from it).
-        let rc = network.resource_count().max(1);
-
-        lanes.clear();
+        self.validate(network, pattern)?;
+        let mut out = Vec::with_capacity(rates.len());
         for &rate in rates {
-            lanes.push(RateLane {
-                rng: StdRng::seed_from_u64(self.config.seed),
-                rate,
-                measured_total: 0,
-                measured_count: 0,
-                zero_load_sum: 0,
-            });
+            out.push(self.run_with_scratch(network, pattern, rate, faults, &mut scratch.base)?);
         }
-        let want = lanes.len() * rc;
-        if free.len() < want {
-            free.resize(want, 0);
-        }
-        free[..want].fill(0);
-
-        for cycle in 0..self.config.cycles {
-            let scale = pattern.burst_scale(cycle);
-            let measure = cycle >= self.config.warmup;
-            for src in 0..n {
-                for (lane, free_l) in lanes.iter_mut().zip(free.chunks_mut(rc)) {
-                    // One gate draw per (cycle, src) whether or not the
-                    // lane can inject — the scalar engine's
-                    // stream-preserving contract.
-                    let p = lane.rate * scale;
-                    if lane.rng.gen::<f64>() >= p {
-                        continue;
-                    }
-                    let dst = pattern.destination(src, &topo, &mut lane.rng);
-                    let tag = lane.rng.gen::<u64>();
-                    let (legs, zero) = table
-                        .lookup(src, dst, tag)
-                        .expect("fault-free routes always exist");
-                    let mut t = cycle;
-                    for leg in legs {
-                        if let Some(r) = leg.resource {
-                            let start = t.max(free_l[r]);
-                            free_l[r] = start + leg.occupancy_cycles;
-                            t = start;
-                        }
-                        t += leg.traversal_cycles;
-                    }
-                    if measure {
-                        lane.measured_total += t - cycle;
-                        lane.measured_count += 1;
-                        lane.zero_load_sum += zero;
-                    }
-                }
-            }
-        }
-
-        Ok(lanes
-            .iter()
-            .zip(free.chunks(rc))
-            .map(|(lane, free_l)| {
-                self.finish(
-                    lane.rate,
-                    lane.measured_total,
-                    lane.measured_count,
-                    lane.zero_load_sum,
-                    0,
-                    0,
-                    free_l,
-                )
-            })
-            .collect())
+        Ok(out)
     }
 
-    /// The fault-free fast path: no fault lookups anywhere, no loss
-    /// draws, routes and zero-load sums straight from the arena.
+    /// Checks what every run checks apart from its rate: the simulation
+    /// window, and `pattern` against the network's topology.
+    pub(crate) fn validate(
+        &self,
+        network: &dyn Network,
+        pattern: TrafficPattern,
+    ) -> Result<(), NocError> {
+        self.config.validate()?;
+        pattern.validate(network.topology())
+    }
+
+    /// Draws the whole window's fault-free injection trace at `rate` on
+    /// `topo` — what every network of that topology injects at this
+    /// rate. Replay it with [`Simulator::replay_trace`].
+    pub(crate) fn draw_trace(
+        &self,
+        pattern: TrafficPattern,
+        topo: &Topology,
+        rate: f64,
+    ) -> InjectionTrace {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut trace = InjectionTrace::default();
+        trace.draw(&mut rng, pattern, topo, rate, 0..self.config.cycles);
+        trace.injections.shrink_to_fit();
+        trace
+    }
+
+    /// Replays a [`Simulator::draw_trace`] trace over `network`, giving
+    /// the result of a fault-free [`Simulator::run_with_scratch`] at the
+    /// trace's `rate`. The caller has checked the rate and
+    /// [`Simulator::validate`]d the network and pattern.
+    pub(crate) fn replay_trace<'n>(
+        &self,
+        network: &'n dyn Network,
+        trace: &InjectionTrace,
+        rate: f64,
+        scratch: &mut SimScratch<'n>,
+    ) -> SimResult {
+        scratch.bind(network);
+        let SimScratch { free, epochs, .. } = scratch;
+        let fault_free = epoch_index(epochs, network, &[]);
+        let table = &epochs[fault_free].1;
+        let mut tally = Tally::default();
+        replay(trace, table, free, self.config.warmup, &mut tally);
+        self.finish(rate, &tally, 0, 0, free)
+    }
+
+    /// The fault-free engine for a single run: draws and replays the
+    /// window [`CHUNK_CYCLES`] at a time through the scratch's trace
+    /// buffer.
     fn run_fault_free(
         &self,
         network: &dyn Network,
         pattern: TrafficPattern,
         rate: f64,
         topo: &Topology,
-        scratch: &mut SimScratch,
+        scratch: &mut SimScratch<'_>,
     ) -> SimResult {
-        let SimScratch { free, epochs, .. } = scratch;
-        let table_idx = epoch_index(epochs, network, &[]);
-        let table = &epochs[table_idx].1;
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let n = topo.nodes();
-
-        let mut measured_total = 0u64;
-        let mut measured_count = 0u64;
-        let mut zero_load_sum = 0u64;
-
-        for cycle in 0..self.config.cycles {
-            let p = rate * pattern.burst_scale(cycle);
-            if p <= 0.0 {
-                // Preserve the RNG stream: every node still consumes its
-                // injection-gate draw even in a zero-injection cycle
-                // (burst off-phases), it just cannot pass the gate.
-                for _ in 0..n {
-                    let _ = rng.gen::<f64>();
-                }
-                continue;
-            }
-            for src in 0..n {
-                if rng.gen::<f64>() >= p {
-                    continue;
-                }
-                let dst = pattern.destination(src, topo, &mut rng);
-                let tag = rng.gen::<u64>();
-                let (legs, zero) = table
-                    .lookup(src, dst, tag)
-                    .expect("fault-free routes always exist");
-                let mut t = cycle;
-                for leg in legs {
-                    if let Some(r) = leg.resource {
-                        let start = t.max(free[r]);
-                        free[r] = start + leg.occupancy_cycles;
-                        t = start;
-                    }
-                    t += leg.traversal_cycles;
-                }
-                if cycle >= self.config.warmup {
-                    measured_total += t - cycle;
-                    measured_count += 1;
-                    zero_load_sum += zero;
-                }
-            }
-        }
-        self.finish(
-            rate,
-            measured_total,
-            measured_count,
-            zero_load_sum,
-            0,
-            0,
+        let SimScratch {
             free,
-        )
+            epochs,
+            trace,
+            ..
+        } = scratch;
+        let fault_free = epoch_index(epochs, network, &[]);
+        let table = &epochs[fault_free].1;
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut tally = Tally::default();
+        let mut start = 0;
+        while start < self.config.cycles {
+            let end = self.config.cycles.min(start.saturating_add(CHUNK_CYCLES));
+            trace.draw(&mut rng, pattern, topo, rate, start..end);
+            replay(trace, table, free, self.config.warmup, &mut tally);
+            start = end;
+        }
+        self.finish(rate, &tally, 0, 0, free)
     }
 
     /// The general engine under an active fault schedule. Route tables
@@ -616,15 +732,13 @@ impl Simulator {
         rate: f64,
         faults: &FaultSchedule,
         topo: &Topology,
-        scratch: &mut SimScratch,
+        scratch: &mut SimScratch<'_>,
     ) -> Result<SimResult, SimError> {
         let SimScratch { free, epochs, .. } = scratch;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let n = topo.nodes();
 
-        let mut measured_total = 0u64;
-        let mut measured_count = 0u64;
-        let mut zero_load_sum = 0u64;
+        let mut tally = Tally::default();
         let mut dropped = 0u64;
         let mut unrouted = 0u64;
         let watchdog = self.config.watchdog_blocked_packets.max(1);
@@ -652,7 +766,8 @@ impl Simulator {
             let loss = faults.flit_loss_at(cycle);
             let p = rate * pattern.burst_scale(cycle);
             if p <= 0.0 {
-                // Same stream-preserving gate draws as the fast path.
+                // Same stream-preserving gate draws as the fault-free
+                // trace.
                 for _ in 0..n {
                     let _ = rng.gen::<f64>();
                 }
@@ -722,44 +837,33 @@ impl Simulator {
                     }
                 }
                 if !lost && cycle >= self.config.warmup {
-                    measured_total += t - cycle;
-                    measured_count += 1;
-                    zero_load_sum += zero;
+                    tally.latency += t - cycle;
+                    tally.packets += 1;
+                    tally.zero_load += zero;
                 }
             }
         }
-        Ok(self.finish(
-            rate,
-            measured_total,
-            measured_count,
-            zero_load_sum,
-            dropped,
-            unrouted,
-            free,
-        ))
+        Ok(self.finish(rate, &tally, dropped, unrouted, free))
     }
 
     /// Shared result assembly (statistics + saturation verdict).
-    #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         rate: f64,
-        measured_total: u64,
-        measured_count: u64,
-        zero_load_sum: u64,
+        tally: &Tally,
         dropped: u64,
         unrouted: u64,
         free: &[u64],
     ) -> SimResult {
-        let avg_latency = if measured_count == 0 {
+        let avg_latency = if tally.packets == 0 {
             0.0
         } else {
-            measured_total as f64 / measured_count as f64
+            tally.latency as f64 / tally.packets as f64
         };
-        let avg_zero = if measured_count == 0 {
+        let avg_zero = if tally.packets == 0 {
             1.0
         } else {
-            zero_load_sum as f64 / measured_count as f64
+            tally.zero_load as f64 / tally.packets as f64
         };
         // Saturated if latency exploded relative to zero-load, or if any
         // resource backlog extends far past the end of simulated time.
@@ -768,13 +872,13 @@ impl Simulator {
             .map(|&f| f.saturating_sub(self.config.cycles))
             .max()
             .unwrap_or(0);
-        let saturated = measured_count > 0
+        let saturated = tally.packets > 0
             && (avg_latency > self.config.saturation_factor * avg_zero
                 || backlog > self.config.cycles / 4);
         SimResult {
             offered_rate: rate,
             avg_latency,
-            packets: measured_count,
+            packets: tally.packets,
             saturated,
             dropped,
             unrouted,
@@ -1112,6 +1216,75 @@ mod tests {
                 .unwrap();
             let fresh = sim.run(&net, TrafficPattern::UniformRandom, rate).unwrap();
             assert_eq!(warm, fresh, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn integer_gate_matches_float_gate() {
+        /// An RNG whose every draw is one fixed word.
+        struct Fixed(u64);
+        impl RngCore for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        const TOP: u64 = 1 << 53;
+        for p in [
+            1e-300,
+            1e-20,
+            0.001,
+            0.05,
+            1.0 / 3.0,
+            0.5,
+            1.0 - 1e-16,
+            1.0,
+            4.0,
+            1e300,
+            f64::NAN,
+        ] {
+            let threshold = gate_threshold(p);
+            let edge = threshold.clamp(1, TOP - 2);
+            for k in [0, 1, edge - 1, edge, edge + 1, TOP - 1] {
+                for x in [k << 11, (k << 11) | 0x7ff] {
+                    assert_eq!(
+                        x >> 11 < threshold,
+                        Fixed(x).gen::<f64>() < p,
+                        "p {p}, draw {x:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_each_network_its_own_routes() {
+        // Alternating between two live networks rebinds the scratch
+        // each time. (Networks built inside the loop body could share an
+        // address; the scratch borrows its network so that such a loop
+        // does not compile — see the `SimScratch` docs.)
+        let sim = Simulator::new(SimConfig {
+            cycles: 8_000,
+            warmup: 2_000,
+            ..SimConfig::default()
+        });
+        let t77 = cryowire_device::Temperature::liquid_nitrogen();
+        let meshes = [crate::RouterClass::OneCycle, crate::RouterClass::ThreeCycle]
+            .map(|class| crate::RouterNetwork::new(crate::NocKind::Mesh, 64, class, t77).unwrap());
+        let mut scratch = SimScratch::new();
+        for _ in 0..2 {
+            for mesh in &meshes {
+                let pattern = TrafficPattern::UniformRandom;
+                let empty = FaultSchedule::default();
+                let warm = sim
+                    .run_with_scratch(mesh, pattern, 0.01, &empty, &mut scratch)
+                    .unwrap();
+                assert_eq!(
+                    warm,
+                    sim.run(mesh, pattern, 0.01).unwrap(),
+                    "{}",
+                    mesh.name()
+                );
+            }
         }
     }
 

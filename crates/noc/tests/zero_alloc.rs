@@ -1,6 +1,7 @@
 //! Counting-allocator proof that the steady-state hot loops allocate
-//! nothing: after one warm-up run populates the scratch (route arena +
-//! free vector), a further fault-free run must perform **zero** heap
+//! nothing: after one warm-up run populates the scratch (route arena,
+//! free vector, trace chunk buffer), a further fault-free run must
+//! perform **zero** heap
 //! allocations, a steady-state batched rate-grid run must allocate only
 //! its returned result vector, and a repeated flit-level run must
 //! allocate nothing. Kept in its own integration-test
@@ -93,9 +94,9 @@ fn steady_state_hot_loop_allocates_nothing() {
     );
 
     // Batched rate grid: after one warm batch builds the shared route
-    // table, lane vector and free slab, a steady-state run's only
-    // allocation is the `Vec<SimResult>` it returns — the lockstep loop
-    // itself allocates nothing.
+    // table and sizes the trace chunk buffer, a steady-state run's only
+    // allocation is the `Vec<SimResult>` it returns — the per-rate runs
+    // themselves allocate nothing.
     let rates = [0.004, 0.008, 0.016];
     let mut batch = BatchSimScratch::new();
     let warm_grid = sim

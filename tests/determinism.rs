@@ -146,9 +146,15 @@ fn disk_cache_round_trips_bit_exactly() {
 
 #[test]
 fn parallel_sweep_matches_serial() {
-    // The crossbeam fan-out must not change results, only wall time.
+    // The crossbeam fan-out must not change results, only wall time —
+    // including the injection traces it shares between networks of one
+    // topology: the 64-node buses and mesh share theirs, the 256-node
+    // hybrid must get its own, under a uniform and a non-uniform pattern.
     use cryowire::device::Temperature;
-    use cryowire::noc::{CryoBus, LoadLatencySweep, Network, SharedBus, SimConfig, TrafficPattern};
+    use cryowire::noc::{
+        CryoBus, HybridCryoBus, LoadLatencySweep, Network, NocKind, RouterClass, RouterNetwork,
+        SharedBus, SimConfig, TrafficPattern,
+    };
     let sweep = LoadLatencySweep::new(vec![0.001, 0.004, 0.008]).with_config(SimConfig {
         cycles: 6_000,
         warmup: 1_500,
@@ -157,13 +163,15 @@ fn parallel_sweep_matches_serial() {
     let t77 = Temperature::liquid_nitrogen();
     let bus = SharedBus::new(64, t77);
     let cryo = CryoBus::new(64, t77);
-    let nets: Vec<&(dyn Network + Sync)> = vec![&bus, &cryo];
-    let parallel = sweep
-        .run_many(&nets, TrafficPattern::UniformRandom)
-        .unwrap();
-    let serial = vec![
-        sweep.run(&bus, TrafficPattern::UniformRandom).unwrap(),
-        sweep.run(&cryo, TrafficPattern::UniformRandom).unwrap(),
-    ];
-    assert_eq!(parallel, serial);
+    let mesh = RouterNetwork::new(NocKind::Mesh, 64, RouterClass::OneCycle, t77).unwrap();
+    let hybrid = HybridCryoBus::c256(t77, 2);
+    let nets: Vec<&(dyn Network + Sync)> = vec![&bus, &cryo, &mesh, &hybrid];
+    for pattern in [TrafficPattern::UniformRandom, TrafficPattern::Transpose] {
+        let parallel = sweep.run_many(&nets, pattern).unwrap();
+        let serial: Vec<_> = nets
+            .iter()
+            .map(|net| sweep.run(*net, pattern).unwrap())
+            .collect();
+        assert_eq!(parallel, serial, "{pattern:?}");
+    }
 }
