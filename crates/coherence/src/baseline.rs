@@ -1,7 +1,7 @@
 //! The retained pre-optimization reference engines: hash-keyed per-line
 //! state, per-run allocation of arbiters/scratch vectors, exhaustive
 //! per-grant invariant verification, per-run directory-timing
-//! construction, and the division-based private cache ([`RefCache`],
+//! construction, and the division-based private cache (`RefCache`,
 //! the pre-arena [`PrivateCache`] frozen verbatim: `line % sets` /
 //! `line / sets` on every lookup and one tag-match scan per call) —
 //! exactly the code the flat-arena hot loops replaced.

@@ -27,7 +27,7 @@
 //! Correctness is anchored to the hop-count reference engines: with the
 //! `reference-sim` feature, every run's serialization-order commit log
 //! replays through `SnoopingMesi`/`DirectoryMesi` and must reproduce
-//! identical data versions (see [`reference`]).
+//! identical data versions (see [`reference`](mod@reference)).
 
 #![warn(missing_docs)]
 

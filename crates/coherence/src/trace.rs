@@ -5,7 +5,7 @@
 //! whether snooping or directory coherence wins: barrier ping-pong
 //! (streamcluster's story), producer–consumer hand-off, and private
 //! streaming. Patterns are parameterised from the calibrated
-//! [`Workload`](cryowire_system::Workload) profiles
+//! [`Workload`] profiles
 //! (`barriers_per_kinst` sets the sharing rate, `l2_mpki` the think
 //! time between references), and generation is seeded and
 //! deterministic.

@@ -2,7 +2,7 @@
 
 use cryowire_device::Temperature;
 use cryowire_harness::Executor;
-use cryowire_system::{SystemDesign, SystemSimulator, Workload};
+use cryowire_system::{PreparedDesign, SystemDesign, SystemSimulator, Workload};
 
 use crate::report::{fmt2, fmt3, Report};
 use crate::Fidelity;
@@ -17,6 +17,11 @@ fn geomean(v: &[f64]) -> f64 {
 /// are identical to a serial loop at any thread count.
 fn per_workload<T: Send>(workloads: &[Workload], eval: impl Fn(&Workload) -> T + Sync) -> Vec<T> {
     Executor::new(workloads.len()).run(workloads, |_, w| eval(w))
+}
+
+/// Prepares `design` once for a workload loop.
+fn prepare(design: &SystemDesign) -> PreparedDesign<'_> {
+    PreparedDesign::new(design).expect("the figures' designs have 64-node NoCs")
 }
 
 /// Fig. 3: normalized CPI stacks of the PARSEC workloads on the 300 K
@@ -60,8 +65,9 @@ impl Fig03Result {
 pub fn fig03_cpi_stacks() -> Fig03Result {
     let sim = SystemSimulator::new();
     let design = SystemDesign::baseline_300k();
+    let design = prepare(&design);
     let rows = per_workload(&Workload::parsec(), |w| {
-        let m = sim.evaluate(w, &design);
+        let m = sim.evaluate_prepared(w, &design);
         let frac = m.stack.noc_fraction();
         (w.name.to_string(), m.stack.cpi_at(4.0), frac)
     });
@@ -113,10 +119,11 @@ pub fn fig17_bus_vs_mesh() -> Fig17Result {
     let ideal = SystemDesign::chp_mesh().with_ideal_noc();
     let mesh = SystemDesign::chp_mesh();
     let bus = SystemDesign::chp_mesh().with_shared_bus(Temperature::liquid_nitrogen());
+    let (ideal, mesh, bus) = (prepare(&ideal), prepare(&mesh), prepare(&bus));
     let rows = per_workload(&Workload::parsec(), |w| {
-        let pi = sim.evaluate(w, &ideal).performance();
-        let pm = sim.evaluate(w, &mesh).performance() / pi;
-        let pb = sim.evaluate(w, &bus).performance() / pi;
+        let pi = sim.evaluate_prepared(w, &ideal).performance();
+        let pm = sim.evaluate_prepared(w, &mesh).performance() / pi;
+        let pb = sim.evaluate_prepared(w, &bus).performance() / pi;
         (w.name.to_string(), pm, pb)
     });
     let ms: Vec<f64> = rows.iter().map(|r| r.1).collect();
@@ -177,12 +184,13 @@ pub fn fig23_system_performance(_fidelity: Fidelity) -> Fig23Result {
     let sim = SystemSimulator::new();
     let designs = SystemDesign::evaluation_set();
     let names: Vec<String> = designs.iter().map(|d| d.name.clone()).collect();
+    let designs: Vec<_> = designs.iter().map(prepare).collect();
 
     let rows = per_workload(&Workload::parsec(), |w| {
-        let reference = sim.evaluate(w, &designs[1]).performance(); // CHP (77K, Mesh)
+        let reference = sim.evaluate_prepared(w, &designs[1]).performance(); // CHP (77K, Mesh)
         let vals: Vec<f64> = designs
             .iter()
-            .map(|d| sim.evaluate(w, d).performance() / reference)
+            .map(|d| sim.evaluate_prepared(w, d).performance() / reference)
             .collect();
         (w.name.to_string(), vals)
     });
@@ -263,19 +271,20 @@ pub fn fig24_spec_prefetch(_fidelity: Fidelity) -> Fig24Result {
         SystemDesign::cryosp_cryobus_2way(),
     ];
     let names: Vec<String> = designs.iter().map(|d| d.name.clone()).collect();
+    let designs = designs.each_ref().map(prepare);
 
     let workloads: Vec<Workload> = Workload::spec()
         .into_iter()
         .map(|w| w.with_prefetcher(PREFETCH_FACTOR))
         .collect();
     let evaluated = per_workload(&workloads, |w| {
-        let reference = sim.evaluate(w, &designs[1]).performance();
+        let reference = sim.evaluate_prepared(w, &designs[1]).performance();
         let mut bound = false;
         let vals: Vec<f64> = designs
             .iter()
             .enumerate()
             .map(|(i, d)| {
-                let m = sim.evaluate(w, d);
+                let m = sim.evaluate_prepared(w, d);
                 if i == 2 && m.noc_bound {
                     bound = true;
                 }

@@ -13,7 +13,7 @@ use cryowire_memory::MemoryDesign;
 use cryowire_noc::{CryoBus, LinkModel};
 use cryowire_pipeline::CoreDesign;
 use cryowire_power::CorePowerModel;
-use cryowire_system::{SystemDesign, SystemNoc, SystemSimulator, Workload};
+use cryowire_system::{PreparedDesign, SystemDesign, SystemNoc, SystemSimulator, Workload};
 
 use crate::report::{fmt2, fmt3, Report};
 
@@ -114,9 +114,10 @@ pub fn fig27_point(kelvin: f64) -> TemperaturePoint {
 
     let geomean = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
     let perf_of = |design: &SystemDesign| {
+        let design = PreparedDesign::new(design).expect("sweep designs have 64-node NoCs");
         let v: Vec<f64> = spec
             .iter()
-            .map(|w| sim.evaluate(w, design).performance())
+            .map(|w| sim.evaluate_prepared(w, &design).performance())
             .collect();
         geomean(&v)
     };

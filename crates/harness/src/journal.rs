@@ -3,7 +3,7 @@
 //!
 //! One journal file accompanies one sweep run. Each line is a framed
 //! record — `<crc16hex> <json>\n`, where the CRC
-//! ([`stable_hash64`](crate::hash::stable_hash64) as 16 hex chars)
+//! ([`stable_hash64`] as 16 hex chars)
 //! covers the JSON payload bytes *exactly as written*. The first record
 //! is a header naming the sweep, the evaluator tag, the base seed and a
 //! grid content key; `--resume` refuses a journal whose header

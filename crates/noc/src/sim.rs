@@ -14,7 +14,7 @@
 //!
 //! The engine's hot loop is allocation-free in steady state: routes are
 //! memoized per `(network, dead-set epoch)` in a flat
-//! [`PathTable`](crate::route_cache::PathTable) arena (legal because
+//! [`PathTable`] arena (legal because
 //! routing is a pure function of `(src, dst, tag % route_classes, dead)`
 //! — see [`Network::route_classes`]), and all mutable run state lives in
 //! a reusable [`SimScratch`].
@@ -38,7 +38,7 @@
 //!
 //! The route cache consumes no randomness, so the RNG draw order —
 //! injection gate, destination, tag, flit-loss retries — is exactly that
-//! of the retained naive engine in [`reference`], which the equivalence
+//! of the retained naive engine in [`reference`](mod@reference), which the equivalence
 //! test-suite pins bit-for-bit.
 //!
 //! [`LoadLatencySweep::run_many`]: crate::load_latency::LoadLatencySweep::run_many
@@ -134,7 +134,7 @@ pub trait Network {
 
     /// Number of distinct route classes under the `dead` resource set —
     /// the memoization contract behind
-    /// [`PathTable`](crate::route_cache::PathTable).
+    /// [`PathTable`].
     ///
     /// Implementations promise that [`Network::path`] and
     /// [`Network::path_avoiding`] depend on `tag` only through

@@ -7,9 +7,9 @@
 //! per-instruction recurrence is one long dependency chain the host
 //! cannot overlap. The batched engine inverts the loop nest: the outer
 //! loop walks trace elements, the inner loop steps a block of up to
-//! [`LANE_BLOCK`] configurations ("lanes") for that element, with the
+//! `LANE_BLOCK` configurations ("lanes") for that element, with the
 //! block's recurrence state held in locals so it stays in registers
-//! (see [`step_block`]). The decode record is loaded once and broadcast
+//! (see `step_block`). The decode record is loaded once and broadcast
 //! to the block, and the lanes' recurrences are mutually independent,
 //! so the host pipelines them — the wall-clock win `BENCH_batch.json`
 //! measures.

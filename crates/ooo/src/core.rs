@@ -25,7 +25,7 @@
 //! constant-memory in the trace length and allocation-free in steady
 //! state. Every optimization preserves **bit-identical** `CoreMetrics`
 //! (including the predictor train order) with the retained naive engine
-//! in [`reference`], which the equivalence suite pins across
+//! in [`reference`](mod@reference), which the equivalence suite pins across
 //! seeds × traces × configs.
 
 use crate::cache::{AddressModel, CacheHierarchy};

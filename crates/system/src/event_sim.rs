@@ -14,7 +14,7 @@
 //! deterministic [`FaultSchedule`]: dead interconnect resources force
 //! re-routing (or bounded retries when no route exists), degraded links
 //! and router stalls stretch reservations, and cooling transients raise
-//! the operating [`Temperature`](cryowire_device::Temperature) mid-run so
+//! the operating [`Temperature`] mid-run so
 //! the device and wire models re-derive core and NoC delays. A progress
 //! watchdog converts would-be hangs into [`SimError::Stalled`].
 

@@ -27,6 +27,23 @@
 //! let cryo = sim.evaluate(&Workload::parsec()[0], &SystemDesign::cryosp_cryobus());
 //! assert!(cryo.performance() > base.performance());
 //! ```
+//!
+//! Sampling a design's NoC paths is the costly part of an evaluation and
+//! depends only on the design, so a loop over workloads prepares the
+//! design once:
+//!
+//! ```
+//! use cryowire_system::{PreparedDesign, SystemDesign, SystemSimulator, Workload};
+//!
+//! let sim = SystemSimulator::new();
+//! let design = SystemDesign::cryosp_cryobus();
+//! let prepared = PreparedDesign::new(&design)?;
+//! for w in Workload::parsec() {
+//!     let m = sim.evaluate_prepared(&w, &prepared);
+//!     assert_eq!(m, sim.evaluate(&w, &design));
+//! }
+//! # Ok::<(), cryowire_noc::NocError>(())
+//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,5 +57,5 @@ pub mod workloads;
 pub use config::{SystemDesign, SystemNoc};
 pub use contention::ContentionEstimate;
 pub use event_sim::{EventMetrics, EventSimConfig, EventSimulator};
-pub use simulator::{CpiStack, SystemMetrics, SystemSimulator};
+pub use simulator::{CpiStack, PreparedDesign, SystemMetrics, SystemSimulator};
 pub use workloads::{Suite, Workload};

@@ -9,7 +9,7 @@
 //! matter how fast the cores are — the effect behind Fig. 24's
 //! contention-bound workloads).
 
-use cryowire_noc::TrafficPattern;
+use cryowire_noc::{NocError, TrafficPattern};
 
 use crate::config::{SystemDesign, SystemNoc};
 use crate::contention::PathProfile;
@@ -117,6 +117,37 @@ impl SystemMetrics {
     }
 }
 
+/// A design made ready for evaluation: it borrows the design and holds
+/// the contention paths sampled from its NoC.
+///
+/// The sample depends only on the network — not on the workload or the
+/// injection rate — so a design × workload grid prepares each design once
+/// and evaluates every workload through [`SystemSimulator::evaluate_prepared`].
+/// The borrow keeps the design's NoC from changing under its sample.
+#[derive(Debug)]
+pub struct PreparedDesign<'d> {
+    design: &'d SystemDesign,
+    /// The NoC's sampled uniform-traffic paths (`None` for the ideal NoC).
+    profile: Option<PathProfile>,
+}
+
+impl<'d> PreparedDesign<'d> {
+    /// Samples the contention paths of `design`'s NoC.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NocError::InvalidNodeCount`] when the NoC has fewer than
+    /// two nodes, so uniform traffic has no destination.
+    pub fn new(design: &'d SystemDesign) -> Result<Self, NocError> {
+        let profile = design
+            .noc
+            .network()
+            .map(|network| PathProfile::sample(network, TrafficPattern::UniformRandom))
+            .transpose()?;
+        Ok(PreparedDesign { design, profile })
+    }
+}
+
 /// The system simulator.
 #[derive(Debug, Clone)]
 pub struct SystemSimulator {
@@ -138,10 +169,30 @@ impl SystemSimulator {
         SystemSimulator { params }
     }
 
-    /// Evaluates `workload` on `design`.
+    /// Evaluates `workload` on `design`, preparing the design first; a
+    /// loop over workloads should prepare once with [`PreparedDesign::new`]
+    /// and call [`SystemSimulator::evaluate_prepared`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PreparedDesign::new`] error when the design's NoC
+    /// has fewer than two nodes.
     #[must_use]
     pub fn evaluate(&self, workload: &Workload, design: &SystemDesign) -> SystemMetrics {
+        let prepared = PreparedDesign::new(design)
+            .unwrap_or_else(|e| panic!("cannot evaluate `{}`: {e}", design.name));
+        self.evaluate_prepared(workload, &prepared)
+    }
+
+    /// Evaluates `workload` on a prepared design.
+    #[must_use]
+    pub fn evaluate_prepared(
+        &self,
+        workload: &Workload,
+        prepared: &PreparedDesign<'_>,
+    ) -> SystemMetrics {
         let p = self.params;
+        let design = prepared.design;
         let spec = design.core.spec();
         let f_core = design.core_frequency_ghz();
         let ipc = spec.ipc_at_4ghz;
@@ -170,17 +221,13 @@ impl SystemSimulator {
         };
         let mut rate = 0.0;
         let mut bound_active = false;
-        // The sampled paths do not depend on the rate: sample them once
-        // and re-evaluate the queueing model on each iteration.
-        let profile = design
-            .noc
-            .network()
-            .map(|network| PathProfile::sample(network, TrafficPattern::UniformRandom));
 
         for _ in 0..p.iterations {
             rate = (access_per_inst * packets_per_access / (total_ns * f_noc)).min(0.9);
+            // The sampled paths do not depend on the rate: re-evaluate
+            // only the queueing model on each iteration.
             let (oneway_ns, sync_op_ns, util) =
-                self.noc_costs(&design.noc, profile.as_ref(), rate, f_noc);
+                self.noc_costs(&design.noc, prepared.profile.as_ref(), rate, f_noc);
 
             // Exposed NoC time per access: directory pays multiple
             // traversals, snooping pays the transaction plus data wires.
@@ -486,6 +533,31 @@ mod tests {
         let sum = s.core_ns + s.noc_ns + s.cache_ns + s.dram_ns + s.sync_ns;
         assert!((sum - s.total_ns()).abs() < 1e-12);
         assert!(m.performance() > 0.0);
+    }
+
+    fn one_node_mesh_design() -> SystemDesign {
+        use cryowire_noc::{NocKind, RouterClass, RouterNetwork};
+        let t = cryowire_device::Temperature::liquid_nitrogen();
+        let network = RouterNetwork::new(NocKind::Mesh, 1, RouterClass::OneCycle, t)
+            .expect("a one-node mesh is constructible");
+        SystemDesign::chp_mesh().with_noc(SystemNoc::Mesh {
+            network,
+            clock_ghz: 5.44,
+        })
+    }
+
+    #[test]
+    fn preparing_a_one_node_noc_is_an_error() {
+        assert!(matches!(
+            PreparedDesign::new(&one_node_mesh_design()),
+            Err(NocError::InvalidNodeCount { nodes: 1, .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic needs at least two nodes")]
+    fn evaluate_on_a_one_node_noc_panics_instead_of_hanging() {
+        let _ = SystemSimulator::new().evaluate(&Workload::parsec()[0], &one_node_mesh_design());
     }
 
     #[test]

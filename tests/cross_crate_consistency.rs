@@ -80,7 +80,8 @@ fn contention_estimate_brackets_simulator() {
     // within 30 %.
     let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
     let rate = 0.006;
-    let est = ContentionEstimate::estimate(&bus, TrafficPattern::UniformRandom, rate);
+    let est = ContentionEstimate::estimate(&bus, TrafficPattern::UniformRandom, rate)
+        .expect("valid rate");
     assert!((est.zero_load_latency - bus.transaction_latency() as f64).abs() < 1e-9);
     let sim = Simulator::new(SimConfig {
         cycles: 30_000,

@@ -154,7 +154,8 @@ proptest! {
     #[test]
     fn contention_latency_at_least_zero_load(rate in 0.0f64..=0.02) {
         let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
-        let e = ContentionEstimate::estimate(&bus, TrafficPattern::UniformRandom, rate);
+        let e = ContentionEstimate::estimate(&bus, TrafficPattern::UniformRandom, rate)
+            .expect("64-node bus, non-negative rate");
         prop_assert!(e.avg_latency >= e.zero_load_latency - 1e-9);
         prop_assert!(e.peak_utilization >= 0.0);
     }
