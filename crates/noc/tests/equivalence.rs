@@ -24,6 +24,14 @@ fn networks() -> Vec<Box<dyn Network>> {
         Box::new(
             RouterNetwork::new(NocKind::Mesh, 64, RouterClass::OneCycle, t77).expect("valid mesh"),
         ),
+        Box::new(
+            RouterNetwork::new(NocKind::CMesh, 64, RouterClass::ThreeCycle, t77)
+                .expect("valid CMesh"),
+        ),
+        Box::new(
+            RouterNetwork::new(NocKind::FlattenedButterfly, 64, RouterClass::OneCycle, t77)
+                .expect("valid flattened butterfly"),
+        ),
     ]
 }
 
@@ -49,6 +57,19 @@ fn plans() -> Vec<(FaultSchedule, &'static str)> {
                 CYCLES,
             ),
             "link-death",
+        ),
+        (
+            // Resource 1 is the link from router 0 to router 1 on every
+            // router network, an XY first hop, so router packets detour
+            // around it; on the 2-way CryoBus it is way 1.
+            FaultSchedule::from_events(
+                vec![FaultEvent::permanent(
+                    1_000,
+                    FaultKind::LinkDead { resource: 1 },
+                )],
+                CYCLES,
+            ),
+            "first-hop-death",
         ),
         (
             FaultSchedule::from_events(
