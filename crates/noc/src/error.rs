@@ -53,6 +53,16 @@ pub enum NocError {
     /// A load–latency sweep over no injection rates: its curve would
     /// have no points.
     EmptyRateGrid,
+    /// A burst pattern whose on/off square wave would not average to the
+    /// configured rate: `burst_len` and `intensity` must be at least 1,
+    /// and `burst_len` and the period `burst_len × intensity` whole
+    /// numbers of at most 2⁵³ cycles.
+    InvalidBurst {
+        /// The rejected burst length, cycles.
+        burst_len: f64,
+        /// The rejected on-period intensity.
+        intensity: f64,
+    },
     /// A load–latency rate grid that is not strictly ascending (a curve
     /// is read from low to high load, and stops after saturating).
     UnorderedRateGrid {
@@ -99,6 +109,15 @@ impl fmt::Display for NocError {
                 write!(f, "flit config `{field}` must be at least 1")
             }
             NocError::EmptyRateGrid => f.write_str("load-latency rate grid is empty"),
+            NocError::InvalidBurst {
+                burst_len,
+                intensity,
+            } => write!(
+                f,
+                "burst pattern (burst_len {burst_len}, intensity {intensity}) must have \
+                 burst_len and intensity at least 1 and a whole-cycle burst_len and \
+                 period burst_len × intensity, or it does not average to the configured rate"
+            ),
             NocError::UnorderedRateGrid {
                 index,
                 rate,

@@ -17,7 +17,11 @@
 //! [`FlitNetwork::new`] wires the network once: every router port gets a
 //! global number, an R×R table holds each router's output port toward
 //! each destination router, and each port knows the input it feeds
-//! downstream and the output it returns credits to upstream.
+//! downstream and the output it returns credits to upstream. The table
+//! and the core-to-router map come from the routing rule that
+//! [`RouterNetwork`](crate::router::RouterNetwork) routes by (see the
+//! [`router`](crate::router) module docs), so both engines send every
+//! packet along the same routers.
 //! [`FlitNetwork::run`] resets the buffers in place and steps only what
 //! holds flits: a flit is routed once, when a router buffers it; each
 //! output port keeps a bitmask of the input slots whose head flit leaves
@@ -40,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::NocError;
-use crate::router::RouterClass;
+use crate::router::{RouterClass, RoutingRule};
 use crate::topology::{NocKind, Topology};
 use crate::traffic::TrafficPattern;
 
@@ -228,14 +232,9 @@ impl FlitNetwork {
                 return Err(NocError::InvalidFlitConfig { field });
             }
         }
-        let topo = Topology::square(config.nodes)?;
-        // Cores per router along each grid axis: CMesh and the flattened
-        // butterfly concentrate 2×2 cores on one router.
-        let span = match config.kind {
-            NocKind::Mesh => 1,
-            _ => 2,
-        };
-        let grid = Topology::square(config.nodes / (span * span))?;
+        let rule = RoutingRule::new(config.kind, config.nodes)?;
+        let topo = *rule.cores();
+        let grid = *rule.routers();
         let routers = grid.nodes();
         let neighbors: Vec<Vec<usize>> = (0..routers)
             .map(|r| neighbors(config.kind, &grid, r))
@@ -271,17 +270,12 @@ impl FlitNetwork {
                 let local = if r == d {
                     0
                 } else {
-                    port_toward(r, next_hop(config.kind, &grid, r, d))
+                    port_toward(r, rule.next_hop(r, d))
                 };
                 next_port.push(base + local);
             }
         }
-        let router_of = (0..config.nodes)
-            .map(|core| {
-                let (x, y) = topo.coords(core);
-                grid.node_at(x / span, y / span)
-            })
-            .collect();
+        let router_of = (0..config.nodes).map(|core| rule.router_of(core)).collect();
         let max_ports = neighbors.iter().map(|n| 1 + n.len()).max().unwrap_or(1);
         let words = (max_ports * config.vcs).div_ceil(64);
 
@@ -549,30 +543,6 @@ fn neighbors(kind: NocKind, grid: &Topology, r: usize) -> Vec<usize> {
         }
     }
     out
-}
-
-/// Next router after `r` on the dimension-ordered route to `d` (≠ `r`).
-fn next_hop(kind: NocKind, grid: &Topology, r: usize, d: usize) -> usize {
-    let (x, y) = grid.coords(r);
-    let (dx, dy) = grid.coords(d);
-    match kind {
-        NocKind::FlattenedButterfly => {
-            if x != dx {
-                grid.node_at(dx, y)
-            } else {
-                grid.node_at(x, dy)
-            }
-        }
-        _ => {
-            if x != dx {
-                let nx = if dx > x { x + 1 } else { x - 1 };
-                grid.node_at(nx, y)
-            } else {
-                let ny = if dy > y { y + 1 } else { y - 1 };
-                grid.node_at(x, ny)
-            }
-        }
-    }
 }
 
 /// Sweeps injection rates on a flit-level network and returns a

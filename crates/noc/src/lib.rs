@@ -58,7 +58,7 @@ pub use load_latency::{
     LoadLatencyCurve, LoadLatencyPoint, LoadLatencySweep, WorkloadBand, WORKLOAD_BANDS,
 };
 pub use route_cache::PathTable;
-pub use router::{RouterClass, RouterNetwork};
+pub use router::{NextHopTable, RouterClass, RouterNetwork};
 pub use router_timing::{RouterStage, RouterTimingModel};
 pub use segmented_bus::SegmentedBus;
 pub use sim::{BatchSimScratch, Network, PacketLeg, SimConfig, SimResult, SimScratch, Simulator};

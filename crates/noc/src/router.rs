@@ -8,7 +8,29 @@
 //! industry 3-cycle router, whose switch allocation holds the output for
 //! the full pipeline — the conservative assumption behind the paper's
 //! "3-cycle" curves in Fig. 21.
+//!
+//! # One routing rule
+//!
+//! A crate-private `RoutingRule` is the only description of where a
+//! router network sends a packet: the router holding each core, and the
+//! next router on the way to any destination router. Everything else is
+//! derived from it. [`RouterNetwork::new`] fills a [`NextHopTable`] from
+//! the rule once, and the reservation engine's fault-free replay walks
+//! that table; [`Network::path`] walks the rule itself, hop by hop, so
+//! the reference engine and the route-structure test, which take `path`
+//! as their oracle, check the table against the rule; and the flit
+//! engine ([`crate::flit`]) wires its output ports from the same rule.
+//!
+//! One R×R table describes every fault-free route because
+//! dimension-ordered routes are *suffix-closed*: the route from a
+//! packet's next router onward is the rest of its route, so each router
+//! needs only its next hop toward each destination router. Detours
+//! around dead links are not suffix-closed (the mesh detour router picks
+//! XY or YX per source and destination), so faulted routes come from
+//! [`Network::path_avoiding`] and the engine memoizes them per dead set
+//! in a [`PathTable`](crate::route_cache::PathTable).
 
+use std::fmt;
 use std::sync::Mutex;
 
 use cryowire_device::Temperature;
@@ -49,16 +71,258 @@ impl RouterClass {
     }
 }
 
+/// The routing rule of a router network: which router holds each core,
+/// and the next router on the dimension-ordered route toward a
+/// destination router.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoutingRule {
+    kind: NocKind,
+    cores: Topology,
+    routers: Topology,
+}
+
+impl RoutingRule {
+    /// The rule of the router-based `kind` over `nodes` cores. The mesh
+    /// gives every core its own router; CMesh and the flattened
+    /// butterfly concentrate each 2×2 block of cores on one router.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NocError::InvalidNodeCount`] unless the cores and the
+    /// routers both form a square grid.
+    pub(crate) fn new(kind: NocKind, nodes: usize) -> Result<Self, NocError> {
+        debug_assert!(!kind.is_bus(), "a bus has no routers to route by");
+        let cores = Topology::square(nodes)?;
+        let span = span(kind);
+        let routers = Topology::square(nodes / (span * span))?;
+        Ok(RoutingRule {
+            kind,
+            cores,
+            routers,
+        })
+    }
+
+    /// The core grid.
+    pub(crate) fn cores(&self) -> &Topology {
+        &self.cores
+    }
+
+    /// The router grid.
+    pub(crate) fn routers(&self) -> &Topology {
+        &self.routers
+    }
+
+    /// The router holding `core`.
+    pub(crate) fn router_of(&self, core: usize) -> usize {
+        let (x, y) = self.cores.coords(core);
+        let span = span(self.kind);
+        self.routers.node_at(x / span, y / span)
+    }
+
+    /// The routers of the route from router `from` to router `to`, both
+    /// included.
+    pub(crate) fn route(&self, from: usize, to: usize) -> Vec<usize> {
+        let dest = self.routers.coords(to);
+        let mut at = self.routers.coords(from);
+        let mut route = vec![from];
+        while at != dest {
+            at = self.step(at, dest);
+            route.push(self.routers.node_at(at.0, at.1));
+        }
+        route
+    }
+
+    /// The router after `at` on the route to router `to` (≠ `at`).
+    pub(crate) fn next_hop(&self, at: usize, to: usize) -> usize {
+        let (x, y) = self.step(self.routers.coords(at), self.routers.coords(to));
+        self.routers.node_at(x, y)
+    }
+
+    /// The grid position after `(x, y)` on the route to `(dx, dy)`
+    /// (another position): on the meshes one hop along X until the
+    /// column matches, then along Y; on the flattened butterfly the
+    /// express link along the row to the destination's column, then the
+    /// one along that column.
+    fn step(&self, (x, y): (usize, usize), (dx, dy): (usize, usize)) -> (usize, usize) {
+        match self.kind {
+            NocKind::FlattenedButterfly => {
+                if x != dx {
+                    (dx, y)
+                } else {
+                    (x, dy)
+                }
+            }
+            _ => {
+                if x != dx {
+                    (if dx > x { x + 1 } else { x - 1 }, y)
+                } else {
+                    (x, if dy > y { y + 1 } else { y - 1 })
+                }
+            }
+        }
+    }
+}
+
+/// Cores per router along each grid axis.
+fn span(kind: NocKind) -> usize {
+    match kind {
+        NocKind::Mesh => 1,
+        _ => 2,
+    }
+}
+
+/// One next-hop table entry: the next router toward the entry's
+/// destination and the cycles the link to it takes.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    next: u32,
+    link_cycles: u32,
+}
+
+/// A router network's fault-free routes and leg timing: the router of
+/// each core, and a destination-major R×R table of the next router and
+/// link cycles from every router toward every destination router (8
+/// bytes an entry: 512 KB for the 256-node mesh, whose route arena held
+/// about 24 MB of legs).
+///
+/// Built once per network from its routing rule (see the
+/// [module docs](self)). [`NextHopTable::walk`] yields exactly the legs
+/// of [`Network::path`], which follows the rule without the table; the
+/// reservation engine's fault-free replay walks the table instead of
+/// memoizing routes in a [`PathTable`](crate::route_cache::PathTable).
+///
+/// Resource ids: the directed link `a → b` is `a · R + b`, and router
+/// `r`'s injection port is `R² + r`.
+#[derive(Clone)]
+pub struct NextHopTable {
+    routers: Topology,
+    link_cycles_per_router_hop: u64,
+    router_cycles: u64,
+    occupancy: u64,
+    /// Router of each core.
+    router_of: Vec<u32>,
+    /// `hops[to * R + at]`: the hop from router `at` toward router `to`
+    /// (unused on the diagonal).
+    hops: Vec<Hop>,
+}
+
+impl NextHopTable {
+    /// Fills the table of `rule` for routers of `class` whose links take
+    /// `link_cycles_per_router_hop` per router-grid hop.
+    fn new(rule: &RoutingRule, class: RouterClass, link_cycles_per_router_hop: u64) -> Self {
+        let r = rule.routers().nodes();
+        let mut table = NextHopTable {
+            routers: *rule.routers(),
+            link_cycles_per_router_hop,
+            router_cycles: class.cycles(),
+            occupancy: class.occupancy(),
+            router_of: (0..rule.cores().nodes())
+                .map(|core| index_u32(rule.router_of(core)))
+                .collect(),
+            hops: Vec::with_capacity(r * r),
+        };
+        for to in 0..r {
+            for at in 0..r {
+                let next = if at == to { at } else { rule.next_hop(at, to) };
+                let link_cycles = table.link_cycles(at, next);
+                table.hops.push(Hop {
+                    next: index_u32(next),
+                    link_cycles: u32::try_from(link_cycles).expect("link cycles exceed u32"),
+                });
+            }
+        }
+        table
+    }
+
+    /// Visits the legs of the fault-free route from core `src` to core
+    /// `dst` in order: the source router's injection port, then one leg
+    /// per link.
+    #[inline]
+    pub fn walk(&self, src: usize, dst: usize, mut visit: impl FnMut(PacketLeg)) {
+        let mut at = self.router_of[src] as usize;
+        let to = self.router_of[dst] as usize;
+        visit(self.injection_leg(at));
+        let r = self.routers.nodes();
+        let toward = &self.hops[to * r..(to + 1) * r];
+        while at != to {
+            let hop = toward[at];
+            let next = hop.next as usize;
+            visit(self.leg(at, next, u64::from(hop.link_cycles)));
+            at = next;
+        }
+    }
+
+    /// Resource id of the directed link `a → b` (unique per ordered
+    /// router pair; flattened-butterfly links are direct express
+    /// channels).
+    fn link_id(&self, a: usize, b: usize) -> usize {
+        a * self.routers.nodes() + b
+    }
+
+    /// Link traversal cycles between two (possibly non-adjacent, on the
+    /// flattened butterfly) routers.
+    fn link_cycles(&self, a: usize, b: usize) -> u64 {
+        self.routers.manhattan_hops(a, b) as u64 * self.link_cycles_per_router_hop
+    }
+
+    /// Resource id of router `r`'s injection port (shared by
+    /// concentrated cores).
+    fn injection_port(&self, r: usize) -> usize {
+        let routers = self.routers.nodes();
+        routers * routers + r
+    }
+
+    /// The leg of router `r`'s injection port, which also pays the
+    /// source router's pipeline.
+    fn injection_leg(&self, r: usize) -> PacketLeg {
+        PacketLeg::on(self.injection_port(r), self.occupancy, self.router_cycles)
+    }
+
+    /// The leg of the link `a → b`, which takes `link_cycles` after the
+    /// router pipeline and is held for at least the router's occupancy.
+    fn leg(&self, a: usize, b: usize, link_cycles: u64) -> PacketLeg {
+        PacketLeg::on(
+            self.link_id(a, b),
+            self.occupancy.max(link_cycles),
+            self.router_cycles + link_cycles,
+        )
+    }
+
+    /// Expands an ordered router sequence into contention legs
+    /// (injection port + one leg per inter-router link).
+    fn legs(&self, route: &[usize]) -> Vec<PacketLeg> {
+        let mut legs = Vec::with_capacity(route.len());
+        legs.push(self.injection_leg(route[0]));
+        for pair in route.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            legs.push(self.leg(a, b, self.link_cycles(a, b)));
+        }
+        legs
+    }
+}
+
+impl fmt::Debug for NextHopTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NextHopTable")
+            .field("routers", &self.routers.nodes())
+            .field("entries", &self.hops.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A router index as a table entry.
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("router index exceeds u32")
+}
+
 /// A router-based network at a given temperature.
 #[derive(Debug)]
 pub struct RouterNetwork {
     kind: NocKind,
     class: RouterClass,
-    topo: Topology,
-    router_grid: Topology,
-    concentration: usize,
-    link_cycles_per_router_hop: u64,
+    rule: RoutingRule,
     temperature: Temperature,
+    table: NextHopTable,
     /// Memoized deadlock-validated detour routing for the last dead set
     /// seen by [`Network::path_avoiding`] — the set only changes at
     /// fault boundaries, so one entry is enough.
@@ -70,11 +334,9 @@ impl Clone for RouterNetwork {
         RouterNetwork {
             kind: self.kind,
             class: self.class,
-            topo: self.topo,
-            router_grid: self.router_grid,
-            concentration: self.concentration,
-            link_cycles_per_router_hop: self.link_cycles_per_router_hop,
+            rule: self.rule,
             temperature: self.temperature,
+            table: self.table.clone(),
             detour_cache: Mutex::new(None),
         }
     }
@@ -99,15 +361,9 @@ impl RouterNetwork {
                 requirement: "RouterNetwork only models router-based NoCs",
             });
         }
-        let topo = Topology::square(nodes)?;
-        let concentration = match kind {
-            NocKind::Mesh => 1,
-            NocKind::CMesh | NocKind::FlattenedButterfly => 4,
-            _ => unreachable!("bus kinds rejected above"),
-        };
-        let router_grid = Topology::square(nodes / concentration)?;
+        let rule = RoutingRule::new(kind, nodes)?;
         // Physical length of one router-to-router hop in 2 mm core hops.
-        let core_hops_per_router_hop = topo.side() / router_grid.side();
+        let core_hops_per_router_hop = rule.cores().side() / rule.routers().side();
         let link = LinkModel::new();
         let link_cycles = link
             .traversal_cycles(core_hops_per_router_hop, t, 4.0)
@@ -115,11 +371,9 @@ impl RouterNetwork {
         Ok(RouterNetwork {
             kind,
             class,
-            topo,
-            router_grid,
-            concentration,
-            link_cycles_per_router_hop: link_cycles,
+            rule,
             temperature: t,
+            table: NextHopTable::new(&rule, class, link_cycles),
             detour_cache: Mutex::new(None),
         })
     }
@@ -152,82 +406,6 @@ impl RouterNetwork {
         self.temperature
     }
 
-    /// Router holding the given core.
-    #[must_use]
-    fn router_of(&self, core: usize) -> usize {
-        if self.concentration == 1 {
-            return core;
-        }
-        // 2x2 core blocks map to one router.
-        let (x, y) = self.topo.coords(core);
-        self.router_grid.node_at(x / 2, y / 2)
-    }
-
-    /// Ordered router sequence for a packet (XY for meshes, row-then-column
-    /// for the flattened butterfly).
-    fn router_route(&self, src_r: usize, dst_r: usize) -> Vec<usize> {
-        let (sx, sy) = self.router_grid.coords(src_r);
-        let (dx, dy) = self.router_grid.coords(dst_r);
-        let mut route = vec![src_r];
-        match self.kind {
-            NocKind::FlattenedButterfly => {
-                if sx != dx {
-                    route.push(self.router_grid.node_at(dx, sy));
-                }
-                if sy != dy {
-                    route.push(self.router_grid.node_at(dx, dy));
-                }
-            }
-            _ => {
-                // XY: walk X first, then Y, one router per hop.
-                let mut x = sx;
-                while x != dx {
-                    x = if dx > x { x + 1 } else { x - 1 };
-                    route.push(self.router_grid.node_at(x, sy));
-                }
-                let mut y = sy;
-                while y != dy {
-                    y = if dy > y { y + 1 } else { y - 1 };
-                    route.push(self.router_grid.node_at(dx, y));
-                }
-            }
-        }
-        route
-    }
-
-    /// Resource id of the directed link a→b (unique per ordered router
-    /// pair; FB links are direct express channels).
-    fn link_id(&self, a: usize, b: usize) -> usize {
-        let r = self.router_grid.nodes();
-        a * r + b
-    }
-
-    /// Link traversal cycles between two (possibly non-adjacent, for FB)
-    /// routers.
-    fn link_cycles(&self, a: usize, b: usize) -> u64 {
-        let hops = self.router_grid.manhattan_hops(a, b) as u64;
-        hops * self.link_cycles_per_router_hop
-    }
-
-    /// Expands an ordered router sequence into contention legs
-    /// (injection port + one leg per inter-router link).
-    fn legs_for_route(&self, src_r: usize, route: &[usize]) -> Vec<PacketLeg> {
-        let rc = self.class.cycles();
-        let occ = self.class.occupancy();
-        let inj_base = self.router_grid.nodes() * self.router_grid.nodes();
-        let mut legs = Vec::with_capacity(route.len());
-        legs.push(PacketLeg::on(inj_base + src_r, occ, rc));
-        for pair in route.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            legs.push(PacketLeg::on(
-                self.link_id(a, b),
-                occ.max(self.link_cycles(a, b)),
-                rc + self.link_cycles(a, b),
-            ));
-        }
-        legs
-    }
-
     /// The memoized deadlock-validated detour router for `dead`
     /// (resource indices), rebuilding only when the dead set changes.
     fn detour_router_for(&self, dead: &[usize]) -> DetourRouter {
@@ -237,13 +415,13 @@ impl RouterNetwork {
                 return router.clone();
             }
         }
-        let r = self.router_grid.nodes();
+        let r = self.rule.routers().nodes();
         let dead_channels: Vec<(usize, usize)> = dead
             .iter()
             .filter(|&&d| d < r * r)
             .map(|&d| (d / r, d % r))
             .collect();
-        let router = DetourRouter::new(&self.router_grid, &dead_channels);
+        let router = DetourRouter::new(self.rule.routers(), &dead_channels);
         *cache = Some((dead.to_vec(), router.clone()));
         router
     }
@@ -254,32 +432,24 @@ impl RouterNetwork {
     /// disjoint channel sets per pair, so no CDG-relevant mixing arises
     /// on the shared links the way it does for hop-by-hop meshes.
     fn fb_route_avoiding(&self, src_r: usize, dst_r: usize, dead: &[usize]) -> Option<Vec<usize>> {
-        let (sx, sy) = self.router_grid.coords(src_r);
-        let (dx, dy) = self.router_grid.coords(dst_r);
-        let row_first: Vec<usize> = {
-            let mut route = vec![src_r];
-            if sx != dx {
-                route.push(self.router_grid.node_at(dx, sy));
-            }
-            if sy != dy {
-                route.push(self.router_grid.node_at(dx, dy));
-            }
-            route
-        };
+        let grid = self.rule.routers();
+        let (sx, sy) = grid.coords(src_r);
+        let (dx, dy) = grid.coords(dst_r);
+        let row_first = self.rule.route(src_r, dst_r);
         let col_first: Vec<usize> = {
             let mut route = vec![src_r];
             if sy != dy {
-                route.push(self.router_grid.node_at(sx, dy));
+                route.push(grid.node_at(sx, dy));
             }
             if sx != dx {
-                route.push(self.router_grid.node_at(dx, dy));
+                route.push(grid.node_at(dx, dy));
             }
             route
         };
         let clean = |route: &[usize]| {
             route
                 .windows(2)
-                .all(|w| !dead.contains(&self.link_id(w[0], w[1])))
+                .all(|w| !dead.contains(&self.table.link_id(w[0], w[1])))
         };
         if clean(&row_first) {
             Some(row_first)
@@ -301,22 +471,23 @@ impl Network for RouterNetwork {
     }
 
     fn topology(&self) -> &Topology {
-        &self.topo
+        self.rule.cores()
     }
 
     fn resource_count(&self) -> usize {
-        let r = self.router_grid.nodes();
+        let r = self.rule.routers().nodes();
         // Directed router-pair links plus per-router injection ports.
         r * r + r
     }
 
     fn path(&self, src: usize, dst: usize, _tag: u64) -> Vec<PacketLeg> {
-        let src_r = self.router_of(src);
-        let dst_r = self.router_of(dst);
-        // Injection port of the source router (shared by concentrated
-        // cores) plus the source router pipeline, then one leg per link.
-        let route = self.router_route(src_r, dst_r);
-        self.legs_for_route(src_r, &route)
+        // Walks the rule, not the next-hop table the fault-free replay
+        // walks, so that wherever `path` is the oracle (the reference
+        // engine, the route-structure test) it checks the table.
+        let route = self
+            .rule
+            .route(self.rule.router_of(src), self.rule.router_of(dst));
+        self.table.legs(&route)
     }
 
     fn path_avoiding(
@@ -329,18 +500,21 @@ impl Network for RouterNetwork {
         if dead.is_empty() {
             return Some(self.path(src, dst, tag));
         }
-        let src_r = self.router_of(src);
-        let dst_r = self.router_of(dst);
-        let inj_base = self.router_grid.nodes() * self.router_grid.nodes();
+        let src_r = self.rule.router_of(src);
+        let dst_r = self.rule.router_of(dst);
         // A dead injection port blocks the source router's cores outright.
-        if dead.contains(&(inj_base + src_r)) {
+        if dead.contains(&self.table.injection_port(src_r)) {
             return None;
         }
         let route = match self.kind {
             NocKind::FlattenedButterfly => self.fb_route_avoiding(src_r, dst_r, dead)?,
             _ => self.detour_router_for(dead).route(src_r, dst_r)?,
         };
-        Some(self.legs_for_route(src_r, &route))
+        Some(self.table.legs(&route))
+    }
+
+    fn next_hop_table(&self) -> Option<&NextHopTable> {
+        Some(&self.table)
     }
 }
 
@@ -437,11 +611,11 @@ mod tests {
     fn concentration_maps_2x2_blocks() {
         let cmesh = RouterNetwork::new(NocKind::CMesh, 64, RouterClass::OneCycle, t300()).unwrap();
         // Cores 0, 1, 8, 9 share router 0 (top-left 2x2 block).
-        assert_eq!(cmesh.router_of(0), 0);
-        assert_eq!(cmesh.router_of(1), 0);
-        assert_eq!(cmesh.router_of(8), 0);
-        assert_eq!(cmesh.router_of(9), 0);
-        assert_ne!(cmesh.router_of(2), 0);
+        assert_eq!(cmesh.rule.router_of(0), 0);
+        assert_eq!(cmesh.rule.router_of(1), 0);
+        assert_eq!(cmesh.rule.router_of(8), 0);
+        assert_eq!(cmesh.rule.router_of(9), 0);
+        assert_ne!(cmesh.rule.router_of(2), 0);
     }
 
     #[test]
@@ -450,7 +624,7 @@ mod tests {
         let mesh = RouterNetwork::mesh64(RouterClass::OneCycle, t300());
         // Kill the directed link 0→1 (first XY hop of 0→9). The
         // destination differs in both dimensions so a YX detour exists.
-        let dead = vec![mesh.link_id(0, 1)];
+        let dead = vec![mesh.table.link_id(0, 1)];
         let legs = mesh
             .path_avoiding(0, 9, 0, &dead)
             .expect("a detour must exist");
@@ -494,9 +668,9 @@ mod tests {
     #[test]
     fn route_is_contiguous_for_mesh() {
         let mesh = RouterNetwork::mesh64(RouterClass::OneCycle, t300());
-        let route = mesh.router_route(0, 63);
+        let route = mesh.rule.route(0, 63);
         for pair in route.windows(2) {
-            assert_eq!(mesh.router_grid.manhattan_hops(pair[0], pair[1]), 1);
+            assert_eq!(mesh.rule.routers().manhattan_hops(pair[0], pair[1]), 1);
         }
         assert_eq!(route.len(), 15); // 14 hops + source
     }

@@ -12,19 +12,35 @@
 //!
 //! ## Performance architecture
 //!
-//! The engine's hot loop is allocation-free in steady state: routes are
-//! memoized per `(network, dead-set epoch)` in a flat
-//! [`PathTable`] arena (legal because
-//! routing is a pure function of `(src, dst, tag % route_classes, dead)`
-//! — see [`Network::route_classes`]), and all mutable run state lives in
-//! a reusable [`SimScratch`].
+//! The engine's hot loop is allocation-free in steady state, and all
+//! mutable run state lives in a reusable [`SimScratch`]. Routes come from
+//! one of two tables, and which one is a property of the network, never
+//! an option:
+//!
+//! - A router network walks its [`NextHopTable`] (see
+//!   [`Network::next_hop_table`]) on every fault-free run. Its
+//!   dimension-ordered routes are suffix-closed — the route from a
+//!   packet's next router onward is the rest of its route — so one R×R
+//!   table of next hops, built with the network, holds them all, and a
+//!   packet's legs are generated hop by hop as it is reserved.
+//! - Every other network (the buses, CryoBus, the segmented bus, the
+//!   hybrid), and every faulted run, memoizes routes per
+//!   `(network, dead-set epoch)` in a flat [`PathTable`] arena (legal
+//!   because routing is a pure function of
+//!   `(src, dst, tag % route_classes, dead)` — see
+//!   [`Network::route_classes`]). Bus routes are short and intern to a
+//!   few arena windows. Detours around dead resources are not
+//!   suffix-closed, and the faulted loop degrades, stalls and loses
+//!   packets per leg, so a faulted run keeps the arena for every epoch,
+//!   the empty dead set included.
 //!
 //! A fault-free run is one kernel in two halves. *Draw* generates the
 //! run's injection trace, a (cycle, src, dst, tag) record per injected
 //! packet, in the engine's RNG order: one gate draw per node per cycle
 //! (burst-off cycles, where `p ≤ 0`, included), then the pattern's
 //! destination draws, then the tag. *Replay* pushes those records in
-//! order through a network's route table and resource `free` vector.
+//! order through the network's routes and resource `free` vector,
+//! reserving the legs of each packet in route order.
 //! The gate, destination and tag draws never depend on the network, so
 //! a trace is a function of the topology, pattern, rate, seed and window
 //! alone: [`LoadLatencySweep::run_many`] draws each (topology, rate)
@@ -36,7 +52,7 @@
 //! lossy leg, so the draws depend on the network's routes, and
 //! [`Simulator::run_with_faults`] keeps its own fused loop.
 //!
-//! The route cache consumes no randomness, so the RNG draw order —
+//! Neither route table consumes randomness, so the RNG draw order —
 //! injection gate, destination, tag, flit-loss retries — is exactly that
 //! of the retained naive engine in [`reference`](mod@reference), which the equivalence
 //! test-suite pins bit-for-bit.
@@ -52,6 +68,7 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::error::{NocError, SimError};
 use crate::route_cache::PathTable;
+use crate::router::NextHopTable;
 use crate::topology::Topology;
 use crate::traffic::TrafficPattern;
 
@@ -146,6 +163,19 @@ pub trait Network {
     fn route_classes(&self, dead: &[usize]) -> usize {
         let _ = dead;
         1
+    }
+
+    /// The network's fault-free routes as a [`NextHopTable`], when they
+    /// are suffix-closed (the route from a packet's next router onward is
+    /// the rest of its route), or `None`, the default.
+    ///
+    /// A fault-free run walks a network's table instead of memoizing its
+    /// routes in a [`PathTable`]; every network without one replays over
+    /// the arena. Returning a table promises that
+    /// [`NextHopTable::walk`] yields exactly [`Network::path`]'s legs for
+    /// every (src, dst) pair, whatever the tag.
+    fn next_hop_table(&self) -> Option<&NextHopTable> {
+        None
     }
 
     /// Zero-load (uncontended) latency from `src` to `dst`, cycles.
@@ -461,29 +491,96 @@ struct Tally {
     zero_load: u64,
 }
 
+/// Where a fault-free run finds its routes: the network's
+/// [`NextHopTable`] if it has one, otherwise the [`PathTable`] of its
+/// empty-dead-set epoch.
+enum FaultFreeRoutes<'a> {
+    Walk(&'a NextHopTable),
+    Arena(&'a PathTable),
+}
+
+impl<'a> FaultFreeRoutes<'a> {
+    /// The routes of `network`, building its empty-dead-set epoch in
+    /// `epochs` if it walks no table and has none yet.
+    fn of(network: &'a dyn Network, epochs: &'a mut Vec<(Vec<usize>, PathTable)>) -> Self {
+        match network.next_hop_table() {
+            Some(table) => FaultFreeRoutes::Walk(table),
+            None => {
+                let fault_free = epoch_index(epochs, network, &[]);
+                let epochs: &'a Vec<_> = epochs;
+                FaultFreeRoutes::Arena(&epochs[fault_free].1)
+            }
+        }
+    }
+
+    /// Replays `trace` along these routes (see [`replay`]).
+    fn replay(&self, trace: &InjectionTrace, free: &mut [u64], warmup: u64, tally: &mut Tally) {
+        match *self {
+            FaultFreeRoutes::Walk(table) => replay(trace, table, free, warmup, tally),
+            FaultFreeRoutes::Arena(table) => replay(trace, table, free, warmup, tally),
+        }
+    }
+}
+
+/// A table of fault-free routes the replay reserves packets along.
+trait Routes {
+    /// Reserves the route of `inj` in `free`, returning the cycle the
+    /// packet arrives and its zero-load latency.
+    fn reserve(&self, inj: &Injection, free: &mut [u64]) -> (u64, u64);
+}
+
+impl Routes for PathTable {
+    #[inline]
+    fn reserve(&self, inj: &Injection, free: &mut [u64]) -> (u64, u64) {
+        let (legs, zero) = self
+            .lookup(inj.src as usize, inj.dst as usize, inj.tag)
+            .expect("fault-free routes always exist");
+        let mut t = inj.cycle;
+        for &leg in legs {
+            t = reserve_leg(free, t, leg);
+        }
+        (t, zero)
+    }
+}
+
+impl Routes for NextHopTable {
+    #[inline]
+    fn reserve(&self, inj: &Injection, free: &mut [u64]) -> (u64, u64) {
+        let mut t = inj.cycle;
+        let mut zero = 0;
+        self.walk(inj.src as usize, inj.dst as usize, |leg| {
+            t = reserve_leg(free, t, leg);
+            zero += leg.traversal_cycles;
+        });
+        (t, zero)
+    }
+}
+
+/// Reserves `leg` for a packet reaching it at cycle `t`: the packet
+/// waits for the leg's resource to free and holds it for the leg's
+/// occupancy. Returns the cycle the packet reaches the end of the leg.
+#[inline(always)]
+fn reserve_leg(free: &mut [u64], mut t: u64, leg: PacketLeg) -> u64 {
+    if let Some(r) = leg.resource {
+        let start = t.max(free[r]);
+        free[r] = start + leg.occupancy_cycles;
+        t = start;
+    }
+    t + leg.traversal_cycles
+}
+
 /// The network half of the fault-free engine: reserves every packet of
-/// `trace`, in order, along its memoized route in `table`, and tallies
-/// the packets injected at or after `warmup`.
-fn replay(
+/// `trace`, in order, along its route in `routes`, and tallies the
+/// packets injected at or after `warmup`.
+fn replay<R: Routes>(
     trace: &InjectionTrace,
-    table: &PathTable,
+    routes: &R,
     free: &mut [u64],
     warmup: u64,
     tally: &mut Tally,
 ) {
     for inj in &trace.injections {
-        let (legs, zero) = table
-            .lookup(inj.src as usize, inj.dst as usize, inj.tag)
-            .expect("fault-free routes always exist");
-        let mut t = inj.cycle;
-        for leg in legs {
-            if let Some(r) = leg.resource {
-                let start = t.max(free[r]);
-                free[r] = start + leg.occupancy_cycles;
-                t = start;
-            }
-            t += leg.traversal_cycles;
-        }
+        let (t, zero) = routes.reserve(inj, free);
         if inj.cycle >= warmup {
             tally.latency += t - inj.cycle;
             tally.packets += 1;
@@ -683,10 +780,9 @@ impl Simulator {
     ) -> SimResult {
         scratch.bind(network);
         let SimScratch { free, epochs, .. } = scratch;
-        let fault_free = epoch_index(epochs, network, &[]);
-        let table = &epochs[fault_free].1;
+        let routes = FaultFreeRoutes::of(network, epochs);
         let mut tally = Tally::default();
-        replay(trace, table, free, self.config.warmup, &mut tally);
+        routes.replay(trace, free, self.config.warmup, &mut tally);
         self.finish(rate, &tally, 0, 0, free)
     }
 
@@ -707,15 +803,14 @@ impl Simulator {
             trace,
             ..
         } = scratch;
-        let fault_free = epoch_index(epochs, network, &[]);
-        let table = &epochs[fault_free].1;
+        let routes = FaultFreeRoutes::of(network, epochs);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut tally = Tally::default();
         let mut start = 0;
         while start < self.config.cycles {
             let end = self.config.cycles.min(start.saturating_add(CHUNK_CYCLES));
             trace.draw(&mut rng, pattern, topo, rate, start..end);
-            replay(trace, table, free, self.config.warmup, &mut tally);
+            routes.replay(trace, free, self.config.warmup, &mut tally);
             start = end;
         }
         self.finish(rate, &tally, 0, 0, free)
@@ -1254,6 +1349,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fault_free_router_runs_build_no_path_table() {
+        // Router networks walk their next-hop table in both fault-free
+        // replays; only a faulted run memoizes routes per dead set, the
+        // empty one included.
+        let sim = Simulator::new(SimConfig {
+            cycles: 2_000,
+            warmup: 500,
+            ..SimConfig::default()
+        });
+        let t77 = cryowire_device::Temperature::liquid_nitrogen();
+        let mesh =
+            crate::RouterNetwork::new(crate::NocKind::Mesh, 64, crate::RouterClass::OneCycle, t77)
+                .unwrap();
+        let pattern = TrafficPattern::UniformRandom;
+        let mut scratch = SimScratch::new();
+        sim.run_with_scratch(
+            &mesh,
+            pattern,
+            0.01,
+            &FaultSchedule::default(),
+            &mut scratch,
+        )
+        .unwrap();
+        let trace = sim.draw_trace(pattern, mesh.topology(), 0.01);
+        sim.replay_trace(&mesh, &trace, 0.01, &mut scratch);
+        assert!(
+            scratch.epochs.is_empty(),
+            "a fault-free replay built a PathTable"
+        );
+
+        let faults = FaultSchedule::from_events(
+            vec![cryowire_faults::FaultEvent::permanent(
+                1_000,
+                cryowire_faults::FaultKind::LinkDead { resource: 1 },
+            )],
+            2_000,
+        );
+        sim.run_with_scratch(&mesh, pattern, 0.01, &faults, &mut scratch)
+            .unwrap();
+        let dead_sets: Vec<&[usize]> = scratch.epochs.iter().map(|(d, _)| &d[..]).collect();
+        assert_eq!(dead_sets, [&[][..], &[1][..]]);
     }
 
     #[test]

@@ -62,8 +62,10 @@ impl TrafficPattern {
     ///
     /// Returns [`NocError::InvalidNodeCount`] for topologies of fewer than
     /// two nodes (every pattern needs a destination other than the
-    /// source), and [`NocError`] for hot nodes out of range or
-    /// non-probability fractions.
+    /// source), [`NocError`] for hot nodes out of range or
+    /// non-probability fractions, and [`NocError::InvalidBurst`] for
+    /// burst parameters whose square wave (see
+    /// [`TrafficPattern::burst_scale`]) does not average to 1.
     pub fn validate(&self, topo: &Topology) -> Result<(), NocError> {
         if topo.nodes() < 2 {
             return Err(NocError::InvalidNodeCount {
@@ -83,6 +85,25 @@ impl TrafficPattern {
                     return Err(NocError::InvalidInjectionRate { rate: fraction });
                 }
                 Ok(())
+            }
+            TrafficPattern::Burst {
+                burst_len,
+                intensity,
+            } => {
+                // Whole cycle counts the square wave's casts keep exactly.
+                let whole = |cycles: f64| cycles.fract() == 0.0 && cycles <= (1u64 << 53) as f64;
+                if burst_len >= 1.0
+                    && intensity >= 1.0
+                    && whole(burst_len)
+                    && whole(burst_len * intensity)
+                {
+                    Ok(())
+                } else {
+                    Err(NocError::InvalidBurst {
+                        burst_len,
+                        intensity,
+                    })
+                }
             }
             _ => Ok(()),
         }
@@ -128,8 +149,10 @@ impl TrafficPattern {
     }
 
     /// Injection-rate multiplier for cycle `cycle` (burst on/off shaping;
-    /// 1.0 for non-bursty patterns). The long-run average stays equal to
-    /// the configured rate.
+    /// 1.0 for non-bursty patterns). For every pattern
+    /// [`TrafficPattern::validate`] accepts, the long-run average stays
+    /// equal to the configured rate: the wave is on for `burst_len` of
+    /// every `burst_len × intensity` cycles.
     #[must_use]
     pub fn burst_scale(&self, cycle: u64) -> f64 {
         match *self {
@@ -269,10 +292,92 @@ mod tests {
 
     #[test]
     fn burst_long_run_average_is_unity() {
-        let pat = TrafficPattern::burst_default();
-        let total: f64 = (0..32_000).map(|c| pat.burst_scale(c)).sum();
-        let avg = total / 32_000.0;
-        assert!((avg - 1.0).abs() < 0.05, "burst average scale = {avg}");
+        // Every burst `validate` accepts, `burst_default()` (8, 4)
+        // first, averages to 1 over whole periods.
+        let topo = Topology::c64();
+        for (burst_len, intensity) in [(8.0, 4.0), (1.0, 1.0), (3.0, 5.0), (4.0, 1.5)] {
+            let pat = TrafficPattern::Burst {
+                burst_len,
+                intensity,
+            };
+            assert_eq!(pat.validate(&topo), Ok(()), "{pat:?}");
+            let cycles = 1_000 * (burst_len * intensity) as u64;
+            let total: f64 = (0..cycles).map(|c| pat.burst_scale(c)).sum();
+            let avg = total / cycles as f64;
+            assert!((avg - 1.0).abs() < 1e-12, "{pat:?}: average scale = {avg}");
+        }
+    }
+
+    /// Asserts that both engines reject the burst pattern
+    /// (`burst_len`, `intensity`) on the 64-node 77 K mesh at rate 0.01
+    /// over an 8 000-cycle window.
+    fn assert_burst_rejected(burst_len: f64, intensity: f64) {
+        use crate::{FlitConfig, FlitNetwork, RouterClass, RouterNetwork, SimConfig, Simulator};
+        let pattern = TrafficPattern::Burst {
+            burst_len,
+            intensity,
+        };
+        let t77 = cryowire_device::Temperature::liquid_nitrogen();
+        let mesh = RouterNetwork::mesh64(RouterClass::OneCycle, t77);
+        let sim = Simulator::new(SimConfig {
+            cycles: 8_000,
+            warmup: 2_000,
+            ..SimConfig::default()
+        });
+        let reservation = sim.run(&mesh, pattern, 0.01).map(|r| r.packets);
+        let mut flit = FlitNetwork::new(FlitConfig::table4_mesh64(RouterClass::OneCycle))
+            .expect("valid flit mesh");
+        let flit = flit.run(pattern, 0.01, 8_000, 2_000, 7).map(|r| r.packets);
+        for (engine, verdict) in [("reservation", reservation), ("flit", flit)] {
+            assert!(
+                matches!(verdict, Err(NocError::InvalidBurst { .. })),
+                "{engine} engine accepted {pattern:?}: {verdict:?}"
+            );
+        }
+    }
+
+    // Regressions: each of these bursts used to validate, and both
+    // engines silently simulated another load than the configured rate.
+    // Intensity 0, −1 and +∞ measured no packets at all (the reservation
+    // engine reported latency 0, not saturated).
+
+    #[test]
+    fn zero_intensity_burst_is_rejected() {
+        assert_burst_rejected(8.0, 0.0);
+    }
+
+    #[test]
+    fn negative_intensity_burst_is_rejected() {
+        assert_burst_rejected(8.0, -1.0);
+    }
+
+    #[test]
+    fn infinite_intensity_burst_is_rejected() {
+        assert_burst_rejected(8.0, f64::INFINITY);
+    }
+
+    #[test]
+    fn sub_unit_intensity_burst_is_rejected() {
+        // Offered about half the configured load.
+        assert_burst_rejected(8.0, 0.5);
+    }
+
+    #[test]
+    fn nan_burst_length_is_rejected() {
+        // Offered about four times the configured load.
+        assert_burst_rejected(f64::NAN, 4.0);
+    }
+
+    #[test]
+    fn sub_cycle_burst_length_is_rejected() {
+        // Offered about twice the configured load.
+        assert_burst_rejected(0.5, 4.0);
+    }
+
+    #[test]
+    fn fractional_burst_period_is_rejected() {
+        // A 7.5-cycle period floored to 7 cycles: 2.5 × 3/7 of the load.
+        assert_burst_rejected(3.0, 2.5);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Counting-allocator proof that the steady-state hot loops allocate
 //! nothing: after one warm-up run populates the scratch (route arena,
 //! free vector, trace chunk buffer), a further fault-free run must
-//! perform **zero** heap
-//! allocations, a steady-state batched rate-grid run must allocate only
+//! perform **zero** heap allocations — on the 2-way CryoBus, which
+//! replays over the route arena, and on the 64-node mesh, which walks
+//! its next-hop table —
+//! a steady-state batched rate-grid run must allocate only
 //! its returned result vector, and a repeated flit-level run must
 //! allocate nothing. Kept in its own integration-test
 //! binary (one test function, so no concurrent test can perturb the
@@ -15,8 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cryowire_device::Temperature;
 use cryowire_faults::FaultSchedule;
 use cryowire_noc::{
-    BatchSimScratch, CryoBus, FlitConfig, FlitNetwork, RouterClass, SimConfig, SimScratch,
-    Simulator, TrafficPattern,
+    BatchSimScratch, CryoBus, FlitConfig, FlitNetwork, NocKind, RouterClass, RouterNetwork,
+    SimConfig, SimScratch, Simulator, TrafficPattern,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -91,6 +93,29 @@ fn steady_state_hot_loop_allocates_nothing() {
         after - before,
         0,
         "steady-state run_with_scratch must not allocate"
+    );
+
+    // A router network walks its next-hop table instead of the arena:
+    // the warm run only sizes the free vector and the trace chunk buffer.
+    let mesh =
+        RouterNetwork::new(NocKind::Mesh, 64, RouterClass::OneCycle, t77).expect("valid mesh");
+    let mut mesh_scratch = SimScratch::new();
+    let pattern = TrafficPattern::UniformRandom;
+    let warm_mesh = sim
+        .run_with_scratch(&mesh, pattern, 0.02, &empty, &mut mesh_scratch)
+        .expect("valid run");
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let steady_mesh = sim
+        .run_with_scratch(&mesh, pattern, 0.02, &empty, &mut mesh_scratch)
+        .expect("valid run");
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(warm_mesh, steady_mesh, "scratch reuse changed the mesh run");
+    assert_eq!(
+        after - before,
+        0,
+        "a steady-state run_with_scratch on the mesh must not allocate"
     );
 
     // Batched rate grid: after one warm batch builds the shared route
