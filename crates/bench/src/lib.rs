@@ -12,10 +12,10 @@
 //!   [`claim_gate`] applying the CI regression checks. The library
 //!   depends on `serde_json` only, so the `cryowire` emitters and the
 //!   sweep binary can share it without a dependency cycle.
-//! * **The Criterion bench targets** under `benches/`: every paper
-//!   table and figure regenerated against the full simulator stack (see
-//!   DESIGN.md's experiment index). Those pull `cryowire` itself as a
-//!   dev-dependency.
+//! * **The Criterion bench targets** under `benches/`: the NoC and core
+//!   hot loops against their reference engines, and harness sweep
+//!   scaling. Those pull `cryowire` itself as a dev-dependency; the
+//!   `reproduce` binary regenerates the paper's tables and figures.
 //!
 //! The gating figure of every report is `overall_speedup` — total
 //! reference (or scalar) wall time over total optimized wall time, i.e.

@@ -1,126 +1,57 @@
 //! Run a single experiment by id.
 //!
 //! ```sh
-//! cargo run --release --bin experiment -- fig23
 //! cargo run --release --bin experiment -- list
-//! cargo run --release --bin experiment -- fig21 --full
+//! cargo run --release --bin experiment -- <id> [--full] [--json]
 //! ```
+//!
+//! The ids are those of `cryowire::experiments::REGISTRY`; with no id,
+//! or with `list`, the binary lists them. The output is what
+//! `reproduce` prints for that experiment. An unknown flag, a second
+//! positional argument or an unknown id prints `experiment: ...` on
+//! stderr and exits with status 2.
 
-use cryowire::experiments::{self, Fidelity};
-use cryowire::Report;
-
-const IDS: &[&str] = &[
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig9",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig14",
-    "tab1",
-    "tab3",
-    "tab4",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig20",
-    "fig21",
-    "fig22",
-    "fig23",
-    "fig24",
-    "fig25",
-    "fig26",
-    "fig27",
-    "abl-bus",
-    "abl-ways",
-    "abl-ff",
-    "abl-alu",
-    "abl-thick",
-    "abl-depth",
-    "abl-engine",
-    "abl-core-engine",
-    "abl-ipc",
-    "abl-coherence",
-    "cpi-sim",
-    "summary",
-];
-
-fn run(id: &str, fidelity: Fidelity) -> Option<Report> {
-    Some(match id {
-        "fig2" => experiments::fig02_stage_breakdown().report(),
-        "fig3" => experiments::fig03_cpi_stacks().report(),
-        "fig5" => experiments::fig05_wire_speedup().report(),
-        "fig9" => experiments::fig09_validation().report(),
-        "fig10" => experiments::fig10_link_validation().report(),
-        "fig12" => experiments::fig12_critical_path_300k().report(),
-        "fig13" => experiments::fig13_critical_path_77k().report(),
-        "fig14" => experiments::fig14_superpipelined().report(),
-        "tab1" => experiments::tab01_floorplan().report(),
-        "tab3" => experiments::tab03_core_specs().report(),
-        "tab4" => experiments::tab04_setup(),
-        "fig16" => experiments::fig16_llc_latency().report(),
-        "fig17" => experiments::fig17_bus_vs_mesh().report(),
-        "fig18" => experiments::fig18_bus_load_latency(fidelity).report(),
-        "fig20" => experiments::fig20_bus_latency_breakdown().report(),
-        "fig21" => experiments::fig21_noc_load_latency(fidelity).report(),
-        "fig22" => experiments::fig22_noc_power().report(),
-        "fig23" => experiments::fig23_system_performance(fidelity).report(),
-        "fig24" => experiments::fig24_spec_prefetch(fidelity).report(),
-        "fig25" => experiments::fig25_traffic_patterns(fidelity).report(),
-        "fig26" => experiments::fig26_hybrid_256(fidelity).report(),
-        "fig27" => experiments::fig27_temperature_sweep().report(),
-        "abl-bus" => experiments::ablation_bus_topology().report(),
-        "abl-ways" => experiments::ablation_interleaving().report(),
-        "abl-ff" => experiments::ablation_ff_overhead().report(),
-        "abl-alu" => experiments::ablation_alu_count().report(),
-        "abl-thick" => experiments::ablation_wire_thickness().report(),
-        "abl-depth" => experiments::ablation_depth_sweep().report(),
-        "abl-engine" => experiments::ablation_engine_comparison().report(),
-        "abl-core-engine" => experiments::ablation_core_engine().report(),
-        "abl-ipc" => experiments::ipc_cross_validation().report(),
-        "cpi-sim" => experiments::cpi_stack_cycle_level().report(),
-        "abl-coherence" => experiments::coherence_cross_validation().report(),
-        "summary" => experiments::headline_summary(fidelity).report(),
-        _ => return None,
-    })
-}
+use cryowire::experiments::{Fidelity, REGISTRY};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = if args.iter().any(|a| a == "--full") {
-        Fidelity::Full
-    } else {
-        Fidelity::Quick
-    };
-    let id = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str);
+    let mut fidelity = Fidelity::Quick;
+    let mut json = false;
+    let mut id: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--full" => fidelity = Fidelity::Full,
+            "--json" => json = true,
+            other if other.starts_with('-') => die(&format!("unknown argument `{other}`")),
+            other if id.is_some() => die(&format!("unexpected argument `{other}`; give one id")),
+            _ => id = Some(arg),
+        }
+    }
 
-    match id {
+    match id.as_deref() {
         None | Some("list") => {
             println!("available experiments:");
-            for id in IDS {
-                println!("  {id}");
+            for experiment in REGISTRY {
+                println!("  {}", experiment.id);
             }
             println!("\nusage: experiment <id> [--full] [--json]");
         }
-        Some(id) => match run(id, fidelity) {
-            Some(report) => {
-                if args.iter().any(|a| a == "--json") {
-                    println!(
-                        "{}",
-                        serde_json::to_string_pretty(&report).expect("reports serialize")
-                    );
-                } else {
-                    println!("{report}");
-                }
+        Some(id) => {
+            let experiment = REGISTRY.iter().find(|e| e.id == id).unwrap_or_else(|| {
+                die(&format!("unknown experiment `{id}`; try `experiment list`"))
+            });
+            let section = (experiment.run)(fidelity);
+            if json {
+                let report =
+                    serde_json::to_string_pretty(&section.report).expect("reports serialize");
+                println!("{report}");
+            } else {
+                print!("{section}");
             }
-            None => {
-                eprintln!("unknown experiment `{id}`; try `experiment list`");
-                std::process::exit(1);
-            }
-        },
+        }
     }
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("experiment: {msg}");
+    std::process::exit(2);
 }

@@ -1,4 +1,5 @@
-//! Prints every reproduced table and figure in paper order.
+//! Prints every experiment of `cryowire::experiments::REGISTRY`, the
+//! reproduced tables and figures and then the ablations, in paper order.
 //!
 //! ```sh
 //! cargo run --release --bin reproduce [--full] [--json] [--threads N] [--out FILE]
@@ -9,81 +10,9 @@
 //! `N` worker threads (output order stays paper order). `--out FILE`
 //! writes the output to a file instead of stdout.
 
-use cryowire::experiments::{self, Fidelity};
+use cryowire::experiments::{Fidelity, REGISTRY};
 use cryowire::Report;
 use cryowire_harness::Executor;
-
-/// A report plus an optional free-form summary line (text mode only).
-type Section = (Report, Option<String>);
-type Task = Box<dyn Fn() -> Section + Sync>;
-
-fn only(report: Report) -> Section {
-    (report, None)
-}
-
-fn tasks(fidelity: Fidelity) -> Vec<Task> {
-    vec![
-        Box::new(|| only(experiments::fig02_stage_breakdown().report())),
-        Box::new(|| only(experiments::fig03_cpi_stacks().report())),
-        Box::new(|| only(experiments::fig05_wire_speedup().report())),
-        Box::new(|| only(experiments::fig09_validation().report())),
-        Box::new(|| only(experiments::fig10_link_validation().report())),
-        Box::new(|| only(experiments::fig12_critical_path_300k().report())),
-        Box::new(|| only(experiments::fig13_critical_path_77k().report())),
-        Box::new(|| only(experiments::fig14_superpipelined().report())),
-        Box::new(|| only(experiments::tab01_floorplan().report())),
-        Box::new(|| only(experiments::tab03_core_specs().report())),
-        Box::new(|| only(experiments::tab04_setup())),
-        Box::new(|| only(experiments::fig16_llc_latency().report())),
-        Box::new(|| only(experiments::fig17_bus_vs_mesh().report())),
-        Box::new(move || only(experiments::fig18_bus_load_latency(fidelity).report())),
-        Box::new(|| only(experiments::fig20_bus_latency_breakdown().report())),
-        Box::new(move || only(experiments::fig21_noc_load_latency(fidelity).report())),
-        Box::new(|| only(experiments::fig22_noc_power().report())),
-        Box::new(move || {
-            let fig23 = experiments::fig23_system_performance(fidelity);
-            let summary = format!(
-                "fig23 summary: {:.2}x vs CHP (paper 2.53), {:.2}x vs 300K (paper 3.82), \
-                 CryoSP-only {:.3} (paper 1.161), CryoBus-only {:.2} (paper ~2.1), \
-                 best case {} at {:.2}x (paper: streamcluster 5.74)\n",
-                fig23.average_speedup_vs_chp,
-                fig23.average_speedup_vs_300k,
-                fig23.cryosp_only_speedup,
-                fig23.cryobus_only_speedup,
-                fig23.best_case.0,
-                fig23.best_case.1
-            );
-            (fig23.report(), Some(summary))
-        }),
-        Box::new(move || {
-            let fig24 = experiments::fig24_spec_prefetch(fidelity);
-            let summary = format!(
-                "fig24 summary: {:.2}x vs 300K (paper 2.11), {:.2}x vs CHP (paper 1.372), \
-                 2-way {:.2}x vs 300K (paper 2.34); contention-bound: {:?}\n",
-                fig24.cryobus_vs_300k,
-                fig24.cryobus_vs_chp,
-                fig24.cryobus2_vs_300k,
-                fig24.contention_bound
-            );
-            (fig24.report(), Some(summary))
-        }),
-        Box::new(move || only(experiments::fig25_traffic_patterns(fidelity).report())),
-        Box::new(move || only(experiments::fig26_hybrid_256(fidelity).report())),
-        Box::new(|| only(experiments::fig27_temperature_sweep().report())),
-        Box::new(|| only(experiments::ablation_bus_topology().report())),
-        Box::new(|| only(experiments::ablation_interleaving().report())),
-        Box::new(|| only(experiments::ablation_ff_overhead().report())),
-        Box::new(|| only(experiments::ablation_alu_count().report())),
-        Box::new(|| only(experiments::ablation_wire_thickness().report())),
-        Box::new(|| only(experiments::ablation_depth_sweep().report())),
-        Box::new(|| only(experiments::ablation_engine_comparison().report())),
-        Box::new(|| only(experiments::ablation_core_engine().report())),
-        Box::new(|| only(experiments::ipc_cross_validation().report())),
-        Box::new(|| only(experiments::cpi_stack_cycle_level().report())),
-        Box::new(|| only(experiments::coherence_cross_validation().report())),
-        Box::new(move || only(experiments::headline_summary(fidelity).report())),
-    ]
-}
 
 fn main() {
     let mut fidelity = Fidelity::Quick;
@@ -108,27 +37,17 @@ fn main() {
         }
     }
 
-    let tasks = tasks(fidelity);
     // The harness executor preserves paper order regardless of thread
     // count; with --threads 1 this is the plain serial loop.
-    let sections = Executor::new(threads).run(&tasks, |_, task| task());
+    let sections = Executor::new(threads).run(REGISTRY, |_, e| (e.run)(fidelity));
 
     let output = if json {
-        let reports: Vec<Report> = sections.iter().map(|(r, _)| r.clone()).collect();
+        let reports: Vec<&Report> = sections.iter().map(|s| &s.report).collect();
         let mut s = serde_json::to_string_pretty(&reports).expect("reports serialize");
         s.push('\n');
         s
     } else {
-        let mut s = String::new();
-        for (report, summary) in &sections {
-            s.push_str(&report.to_string());
-            s.push('\n');
-            if let Some(summary) = summary {
-                s.push_str(summary);
-                s.push('\n');
-            }
-        }
-        s
+        sections.iter().map(ToString::to_string).collect()
     };
     match out {
         Some(path) => std::fs::write(&path, output)

@@ -11,11 +11,12 @@
 //!   serial dependency chain cannot. The grids are the ipc-validation
 //!   configurations (Table 3's column) and the `bench-core` design
 //!   grid.
-//! * **NoC**: [`cryowire_noc::Simulator::run_rates_with_scratch`] runs
-//!   each rate of an injection-rate grid through the scalar engine on
-//!   one embedded scratch, so the routing [`PathTable`] is built once
-//!   per (network, dead-set) for the entire grid — the batch's one real
-//!   advantage over per-point runs.
+//! * **NoC**: each rate of an injection-rate grid runs through
+//!   [`cryowire_noc::Simulator::run_with_scratch`] on one scratch, so a
+//!   routing [`PathTable`] is built once per (network, dead-set) for
+//!   the entire grid. The smoke grid's two 64-node meshes walk their
+//!   next-hop table and build no `PathTable`, so there is nothing to
+//!   reuse and their rows read about 1×.
 //!
 //! The scalar baseline is the zero-allocation scalar engine executed
 //! the way the harness's scalar path executes a grid: one fresh scratch
@@ -38,9 +39,7 @@ use std::time::Instant;
 use cryowire_bench::{bench_value, speedup_stats};
 use cryowire_faults::FaultSchedule;
 use cryowire_harness::{Sweep, SweepSpec};
-use cryowire_noc::{
-    BatchSimScratch, Network, NocError, SimConfig, SimError, SimScratch, Simulator, TrafficPattern,
-};
+use cryowire_noc::{Network, NocError, SimConfig, SimError, SimScratch, Simulator, TrafficPattern};
 use cryowire_ooo::{
     run_batch_into, BatchScratch, CoreConfig, CoreMetrics, CoreScratch, CoreSimulator, TraceArena,
     TraceConfig,
@@ -234,9 +233,8 @@ fn core_point(
 }
 
 /// Times one network's rate grid: scalar per-point pass (fresh
-/// [`SimScratch`] per rate, so the route table is rebuilt per point as
-/// the harness's scalar path does) vs one batched pass sharing a single
-/// [`PathTable`](cryowire_noc::PathTable), asserting per-lane
+/// [`SimScratch`] per rate, as the harness's scalar path runs it) vs one
+/// pass looping a single scratch over the grid, asserting per-rate
 /// bit-identity.
 fn noc_point(
     config: SimConfig,
@@ -248,6 +246,7 @@ fn noc_point(
         _ => unreachable!("no faults injected, the watchdog cannot fire"),
     };
     let empty = FaultSchedule::default();
+    let pattern = TrafficPattern::UniformRandom;
     let sim = Simulator::new(config);
     let mut wall_scalar = f64::INFINITY;
     let mut wall_batched = f64::INFINITY;
@@ -259,29 +258,21 @@ fn noc_point(
         for &rate in rates {
             let mut scratch = SimScratch::new();
             scalar.push(
-                sim.run_with_scratch(
-                    net,
-                    TrafficPattern::UniformRandom,
-                    rate,
-                    &empty,
-                    &mut scratch,
-                )
-                .map_err(unfault)?,
+                sim.run_with_scratch(net, pattern, rate, &empty, &mut scratch)
+                    .map_err(unfault)?,
             );
         }
         wall_scalar = wall_scalar.min(t0.elapsed().as_secs_f64());
 
         let t1 = Instant::now();
-        let mut scratch = BatchSimScratch::new();
-        batched = sim
-            .run_rates_with_scratch(
-                net,
-                TrafficPattern::UniformRandom,
-                rates,
-                &empty,
-                &mut scratch,
-            )
-            .map_err(unfault)?;
+        batched.clear();
+        let mut scratch = SimScratch::new();
+        for &rate in rates {
+            batched.push(
+                sim.run_with_scratch(net, pattern, rate, &empty, &mut scratch)
+                    .map_err(unfault)?,
+            );
+        }
         wall_batched = wall_batched.min(t1.elapsed().as_secs_f64());
     }
     for (&rate, (a, b)) in rates.iter().zip(scalar.iter().zip(&batched)) {

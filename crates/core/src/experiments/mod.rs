@@ -4,7 +4,9 @@
 //! Each function computes its figure from the models and returns a typed
 //! result with a [`Report`](crate::Report) rendering of the same
 //! rows/series the paper plots. Simulation-backed experiments take a
-//! [`Fidelity`] knob; analytic ones are exact either way.
+//! [`Fidelity`] knob; analytic ones are exact either way. [`REGISTRY`]
+//! lists them all in paper order for the `reproduce` and `experiment`
+//! binaries.
 
 mod ablations;
 mod bench_batch;
@@ -15,6 +17,7 @@ mod coherence_validation;
 mod ipc_validation;
 mod noc_figs;
 mod pipeline_figs;
+mod registry;
 mod summary;
 mod sweeps;
 mod system_figs;
@@ -54,6 +57,7 @@ pub use pipeline_figs::{
     fig13_critical_path_77k, fig14_superpipelined, tab01_floorplan, tab03_core_specs, CpiStackSim,
     Fig02Result, Fig09Result, Fig12Result, Fig14Result, Tab01Result, Tab03Result,
 };
+pub use registry::{Experiment, Section, REGISTRY};
 pub use summary::{headline_summary, HeadlineSummary};
 pub use sweeps::{
     ablation_depth_spec, coherence_spec, coherence_sweep_artifact, degraded_eval, degraded_plan,

@@ -61,6 +61,6 @@ pub use route_cache::PathTable;
 pub use router::{NextHopTable, RouterClass, RouterNetwork};
 pub use router_timing::{RouterStage, RouterTimingModel};
 pub use segmented_bus::SegmentedBus;
-pub use sim::{BatchSimScratch, Network, PacketLeg, SimConfig, SimResult, SimScratch, Simulator};
+pub use sim::{Network, PacketLeg, SimConfig, SimResult, SimScratch, Simulator};
 pub use topology::{NocKind, Topology};
 pub use traffic::TrafficPattern;

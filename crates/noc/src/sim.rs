@@ -377,27 +377,6 @@ impl fmt::Debug for SimScratch<'_> {
     }
 }
 
-/// Reusable state for batched rate-grid runs
-/// ([`Simulator::run_rates_with_scratch`]): an embedded [`SimScratch`]
-/// whose memoized [`PathTable`] serves *every* rate in the batch (one
-/// route rebuild per (network, dead-set) for the whole grid).
-///
-/// Grow-only like the other scratches: after the first batch warms the
-/// route table and the trace buffer, steady-state batched runs allocate
-/// only their result vector (pinned by `tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
-pub struct BatchSimScratch<'n> {
-    base: SimScratch<'n>,
-}
-
-impl BatchSimScratch<'_> {
-    /// An empty scratch; the first batched run populates it.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchSimScratch::default()
-    }
-}
-
 /// Cycles a single fault-free run draws before replaying them: small
 /// enough that the chunk's trace stays cache-resident, large enough to
 /// amortize the switch between the two halves.
@@ -705,39 +684,6 @@ impl Simulator {
         } else {
             self.run_faulted(network, pattern, rate, faults, &topo, scratch)
         }
-    }
-
-    /// Runs a whole rate grid over `network`, returning one
-    /// [`SimResult`] per rate (same order), each bit-identical to a
-    /// scalar [`Simulator::run_with_scratch`] call at that rate.
-    ///
-    /// Every rate runs through the embedded scratch, so routing is
-    /// memoized once in the shared [`PathTable`] for the whole grid. (The
-    /// draws of a rate depend on that rate's gate outcomes, so traces
-    /// cannot be shared across rates, only across networks — see the
-    /// module docs.)
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::run_with_scratch`]; the first offending rate
-    /// (in grid order) reports the error.
-    pub fn run_rates_with_scratch<'n>(
-        &self,
-        network: &'n dyn Network,
-        pattern: TrafficPattern,
-        rates: &[f64],
-        faults: &FaultSchedule,
-        scratch: &mut BatchSimScratch<'n>,
-    ) -> Result<Vec<SimResult>, SimError> {
-        for &rate in rates {
-            check_rate(rate)?;
-        }
-        self.validate(network, pattern)?;
-        let mut out = Vec::with_capacity(rates.len());
-        for &rate in rates {
-            out.push(self.run_with_scratch(network, pattern, rate, faults, &mut scratch.base)?);
-        }
-        Ok(out)
     }
 
     /// Checks what every run checks apart from its rate: the simulation
@@ -1579,94 +1525,6 @@ mod tests {
             .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.003, &faults)
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batched_rates_match_scalar_engine() {
-        let sim = Simulator::default();
-        let net = toy();
-        let empty = FaultSchedule::default();
-        let rates = [0.0005, 0.001, 0.003, 0.006, 0.02];
-        let mut batch = BatchSimScratch::new();
-        let batched = sim
-            .run_rates_with_scratch(
-                &net,
-                TrafficPattern::UniformRandom,
-                &rates,
-                &empty,
-                &mut batch,
-            )
-            .unwrap();
-        let mut scratch = SimScratch::new();
-        for (&rate, got) in rates.iter().zip(&batched) {
-            let want = sim
-                .run_with_scratch(
-                    &net,
-                    TrafficPattern::UniformRandom,
-                    rate,
-                    &empty,
-                    &mut scratch,
-                )
-                .unwrap();
-            assert_eq!(*got, want, "rate {rate} diverged from the scalar engine");
-        }
-        // Scratch reuse across batches (including a narrower grid) is
-        // result-invariant.
-        let again = sim
-            .run_rates_with_scratch(
-                &net,
-                TrafficPattern::UniformRandom,
-                &rates[..2],
-                &empty,
-                &mut batch,
-            )
-            .unwrap();
-        assert_eq!(again[..], batched[..2]);
-    }
-
-    #[test]
-    fn batched_rates_with_faults_match_scalar_engine() {
-        use cryowire_faults::FaultPlan;
-        let sim = Simulator::default();
-        let net = toy();
-        let faults = FaultPlan::new(7)
-            .flit_loss(0.1, 3)
-            .degraded_links(1, &[0], 2.0, 3.0)
-            .schedule(30_000);
-        let rates = [0.001, 0.003, 0.006];
-        let batched = sim
-            .run_rates_with_scratch(
-                &net,
-                TrafficPattern::UniformRandom,
-                &rates,
-                &faults,
-                &mut BatchSimScratch::new(),
-            )
-            .unwrap();
-        for (&rate, got) in rates.iter().zip(&batched) {
-            let want = sim
-                .run_with_faults(&net, TrafficPattern::UniformRandom, rate, &faults)
-                .unwrap();
-            assert_eq!(*got, want, "rate {rate}");
-        }
-    }
-
-    #[test]
-    fn batched_rates_reject_bad_rates() {
-        let sim = Simulator::default();
-        let err = sim
-            .run_rates_with_scratch(
-                &toy(),
-                TrafficPattern::UniformRandom,
-                &[0.001, 1.5],
-                &FaultSchedule::default(),
-                &mut BatchSimScratch::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Noc(NocError::InvalidInjectionRate { .. })
-        ));
     }
 
     #[test]
