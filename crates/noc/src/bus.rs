@@ -258,6 +258,16 @@ impl Network for SharedBus {
             (0..self.ways).filter(|w| !dead.contains(w)).count().max(1)
         }
     }
+
+    fn route_group(&self, _core: usize) -> usize {
+        // Every core reaches the central arbiter and the shared wires
+        // alike.
+        0
+    }
+
+    fn route_groups(&self) -> usize {
+        1
+    }
 }
 
 #[cfg(test)]

@@ -363,6 +363,14 @@ impl Network for CryoBus {
     fn route_classes(&self, dead: &[usize]) -> usize {
         self.inner.route_classes(dead)
     }
+
+    fn route_group(&self, core: usize) -> usize {
+        self.inner.route_group(core)
+    }
+
+    fn route_groups(&self) -> usize {
+        self.inner.route_groups()
+    }
 }
 
 #[cfg(test)]

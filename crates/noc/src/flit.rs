@@ -22,29 +22,54 @@
 //! [`RouterNetwork`](crate::router::RouterNetwork) routes by (see the
 //! [`router`](crate::router) module docs), so both engines send every
 //! packet along the same routers.
-//! [`FlitNetwork::run`] resets the buffers in place and steps only what
-//! holds flits: a flit is routed once, when a router buffers it; each
-//! output port keeps a bitmask of the input slots whose head flit leaves
-//! by it, so switch allocation visits only those, in round-robin order;
-//! routers with empty input buffers skip allocation; and the one-cycle
-//! wires deliver from the list of flits sent in the previous cycle.
 //!
-//! Each cycle keeps one observable order, which the golden corpus in
-//! `tests/flit_golden.rs` pins: one `gen::<f64>()` per core in core order
-//! (plus the pattern's own draws); injection in core order into the
-//! local port's VC 0; delivery; then allocation in router order and, per
-//! router, output order — a pop is visible to later outputs of the same
-//! router, a credit return to routers later in the same cycle, and a
-//! round-robin pointer moves only on a grant. Skipping an empty router
-//! is exact because allocation never adds flits to input buffers.
+//! [`FlitNetwork::run`] resets the buffers in place and steps only what
+//! is live, so a cycle of an idle network costs its injection draws and a
+//! few word scans:
+//!
+//! - a bitset of the cores with flits waiting for injection, which the
+//!   injection step walks instead of every core;
+//! - a flit is routed once, when a router buffers it, and each output
+//!   port keeps a bitset of the input slots whose head flit leaves by it
+//!   and has cleared its router pipeline (as many 64-bit words as the
+//!   widest router needs), so switch allocation visits only heads that
+//!   may win, in round-robin order, and checks nothing but their
+//!   downstream credit. A head still in its pipeline waits in the
+//!   bucket of the cycle it becomes eligible and joins its port's set at
+//!   the start of that cycle's allocation (buckets are indexed by the
+//!   cycle's low bits, more of them than the pipeline is deep);
+//! - a bitset of the output ports with at least one such head, numbered
+//!   router by router, so walking it in ascending order visits the
+//!   routers holding eligible flits in router order and each one's
+//!   requested ports in port order, and skips every router and port with
+//!   nothing to send;
+//! - the one-cycle wires deliver from the list of flits sent in the
+//!   previous cycle.
+//!
+//! Each cycle keeps one observable order, which the golden corpora in
+//! `tests/flit_golden.rs` and `tests/flit_golden_wide.rs` pin: one gate
+//! draw per core in core order (`gen::<f64>() < p`, compared as integers
+//! through the reservation engine's gate threshold) plus the pattern's
+//! own draws; injection in core order into the local port's VC 0;
+//! delivery; then allocation in router order and, per router, output
+//! order — a pop is visible to later outputs of the same router, a credit
+//! return to routers later in the same cycle, and a round-robin pointer
+//! moves only on a grant. The allocation walk re-reads the requested-port
+//! set after every port, so a head flit that a pop exposes, if eligible,
+//! can still win a later port of the same router in that cycle, as it
+//! did when every port was visited. Skipping is exact because allocation
+//! never adds flits to input buffers and an ineligible head never wins:
+//! a port with no eligible head grants nothing and keeps its pointer.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::error::NocError;
+use crate::load_latency::{check_rate_grid, LoadLatencyCurve, LoadLatencyPoint};
 use crate::router::{RouterClass, RoutingRule};
+use crate::sim::{check_rate, check_window, gate_threshold, next_injector};
 use crate::topology::{NocKind, Topology};
 use crate::traffic::TrafficPattern;
 
@@ -109,6 +134,45 @@ struct OnWire {
     vc: usize,
 }
 
+/// A fixed-capacity set of small integers, one bit each.
+#[derive(Debug, Clone)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// An empty set that can hold `0..len`.
+    fn new(len: usize) -> Self {
+        BitSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The smallest member not below `from`, read from the set as it is
+    /// now.
+    fn next(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+}
+
 /// Every router's input VC buffers, indexed for switch allocation.
 ///
 /// A router with `p` ports has `p * vcs` input *slots*, slot
@@ -121,40 +185,86 @@ struct InputBuffers {
     /// FIFOs indexed `global input port * vcs + vc`.
     queues: Vec<VecDeque<Buffered>>,
     /// Bit `s` of the set at `heads[port * words..]` is set while slot
-    /// `s` of the port's router holds a head flit leaving by `port`.
+    /// `s` of the port's router holds a head flit that leaves by `port`
+    /// and is past its router pipeline (eligible).
     heads: Vec<u64>,
-    /// Flits buffered per router.
-    occupancy: Vec<usize>,
+    /// The global output ports whose slot set in `heads` is not empty.
+    requested: BitSet,
+    /// Head flits still in their router pipeline, as `(port, slot)`,
+    /// bucketed by the cycle they become eligible modulo the bucket
+    /// count: a power of two above the pipeline depth, so no two
+    /// pending cycles share a bucket and no bucket index divides.
+    maturing: Vec<Vec<(usize, usize)>>,
 }
 
 impl InputBuffers {
-    /// Appends `b` to `slot` of `router`, whose first global port is
-    /// `base`.
-    fn push(&mut self, router: usize, base: usize, slot: usize, b: Buffered) {
+    /// Appends `b` to `slot` of the router whose first global port is
+    /// `base`, at `cycle`.
+    fn push(&mut self, base: usize, slot: usize, b: Buffered, cycle: u64) {
         let queue = &mut self.queues[base * self.vcs + slot];
-        if queue.is_empty() {
-            self.heads[b.out * self.words + slot / 64] |= 1 << (slot % 64);
-        }
+        let was_empty = queue.is_empty();
         queue.push_back(b);
-        self.occupancy[router] += 1;
+        if was_empty {
+            self.expose(&b, slot, cycle);
+        }
     }
 
-    /// Removes the head flit of `slot` of `router`.
-    fn pop(&mut self, router: usize, base: usize, slot: usize) -> Flit {
+    /// Removes the head flit of `slot` of the router whose first global
+    /// port is `base`, at `cycle`.
+    fn pop(&mut self, base: usize, slot: usize, cycle: u64) -> Flit {
         let queue = &mut self.queues[base * self.vcs + slot];
         let head = queue.pop_front().expect("indexed slot holds a flit");
-        self.heads[head.out * self.words + slot / 64] &= !(1 << (slot % 64));
-        if let Some(next) = queue.front() {
-            self.heads[next.out * self.words + slot / 64] |= 1 << (slot % 64);
+        let next = queue.front().copied();
+        self.remove_head(head.out, slot);
+        if let Some(next) = next {
+            self.expose(&next, slot, cycle);
         }
-        self.occupancy[router] -= 1;
         head.flit
+    }
+
+    /// Enters `head`, which just became the head of `slot`, into its
+    /// output port's set now if it is eligible at `cycle`, or else in
+    /// the bucket of the cycle it becomes eligible.
+    fn expose(&mut self, head: &Buffered, slot: usize, cycle: u64) {
+        if head.eligible <= cycle {
+            self.add_head(head.out, slot);
+        } else {
+            let bucket = self.bucket(head.eligible);
+            self.maturing[bucket].push((head.out, slot));
+        }
+    }
+
+    /// Enters the heads that become eligible at `cycle`.
+    fn mature(&mut self, cycle: u64) {
+        let bucket = self.bucket(cycle);
+        while let Some((port, slot)) = self.maturing[bucket].pop() {
+            self.add_head(port, slot);
+        }
+    }
+
+    /// The `maturing` bucket of heads eligible at `cycle`.
+    fn bucket(&self, cycle: u64) -> usize {
+        (cycle & (self.maturing.len() as u64 - 1)) as usize
+    }
+
+    fn add_head(&mut self, port: usize, slot: usize) {
+        self.heads[port * self.words + slot / 64] |= 1 << (slot % 64);
+        self.requested.insert(port);
+    }
+
+    fn remove_head(&mut self, port: usize, slot: usize) {
+        let set = &mut self.heads[port * self.words..(port + 1) * self.words];
+        set[slot / 64] &= !(1 << (slot % 64));
+        if set.iter().all(|&w| w == 0) {
+            self.requested.remove(port);
+        }
     }
 
     fn clear(&mut self) {
         self.queues.iter_mut().for_each(VecDeque::clear);
         self.heads.fill(0);
-        self.occupancy.fill(0);
+        self.requested.clear();
+        self.maturing.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -188,6 +298,8 @@ pub struct FlitNetwork {
     router_of: Vec<usize>,
     /// First global port of each router, then the total port count.
     port_base: Vec<usize>,
+    /// Router owning each global port.
+    port_router: Vec<usize>,
     /// `next_port[r * routers + d]`: global output port of router `r`
     /// toward router `d` (its ejection port when `r == d`).
     next_port: Vec<usize>,
@@ -197,6 +309,9 @@ pub struct FlitNetwork {
     /// Per global input port: the upstream global output port a departing
     /// flit returns its credit to (`None` for injection ports).
     upstream: Vec<Option<usize>>,
+    /// `(input port, vc)` of each slot of the widest router, so granting
+    /// divides nothing.
+    slot_split: Vec<(usize, usize)>,
     buffers: InputBuffers,
     /// Credits per downstream VC, indexed `global output port * vcs + vc`.
     credits: Vec<usize>,
@@ -205,6 +320,8 @@ pub struct FlitNetwork {
     rr: Vec<usize>,
     /// Per-core flits waiting for injection-VC space.
     pending: Vec<VecDeque<Flit>>,
+    /// The cores whose `pending` queue is not empty.
+    pending_cores: BitSet,
     /// Flits sent this cycle, delivered by the next cycle's wires.
     wires: Vec<OnWire>,
 }
@@ -247,11 +364,12 @@ impl FlitNetwork {
         };
 
         let mut port_base = Vec::with_capacity(routers + 1);
-        let mut ports = 0;
-        for n in &neighbors {
-            port_base.push(ports);
-            ports += 1 + n.len();
+        let mut port_router = Vec::new();
+        for (r, n) in neighbors.iter().enumerate() {
+            port_base.push(port_router.len());
+            port_router.resize(port_router.len() + 1 + n.len(), r);
         }
+        let ports = port_router.len();
         port_base.push(ports);
 
         let mut downstream = vec![None; ports];
@@ -277,7 +395,10 @@ impl FlitNetwork {
         }
         let router_of = (0..config.nodes).map(|core| rule.router_of(core)).collect();
         let max_ports = neighbors.iter().map(|n| 1 + n.len()).max().unwrap_or(1);
-        let words = (max_ports * config.vcs).div_ceil(64);
+        let slots = max_ports * config.vcs;
+        let slot_split = (0..slots)
+            .map(|slot| (slot / config.vcs, slot % config.vcs))
+            .collect();
 
         Ok(FlitNetwork {
             config,
@@ -285,19 +406,26 @@ impl FlitNetwork {
             router_grid: grid,
             router_of,
             port_base,
+            port_router,
             next_port,
             downstream,
             upstream,
+            slot_split,
             buffers: InputBuffers {
                 vcs: config.vcs,
-                words,
+                words: slots.div_ceil(64),
                 queues: vec![VecDeque::new(); ports * config.vcs],
-                heads: vec![0; ports * words],
-                occupancy: vec![0; routers],
+                heads: vec![0; ports * slots.div_ceil(64)],
+                requested: BitSet::new(ports),
+                maturing: vec![
+                    Vec::new();
+                    (config.class.cycles() as usize + 1).next_power_of_two()
+                ],
             },
             credits: vec![config.vc_buffer_flits; ports * config.vcs],
             rr: vec![0; ports],
             pending: vec![VecDeque::new(); config.nodes],
+            pending_cores: BitSet::new(config.nodes),
             wires: Vec::new(),
         })
     }
@@ -309,6 +437,7 @@ impl FlitNetwork {
         self.credits.fill(self.config.vc_buffer_flits);
         self.rr.fill(0);
         self.pending.iter_mut().for_each(VecDeque::clear);
+        self.pending_cores.clear();
         self.wires.clear();
     }
 
@@ -317,6 +446,8 @@ impl FlitNetwork {
     /// # Errors
     ///
     /// Returns [`NocError::InvalidInjectionRate`] for rates outside [0, 1],
+    /// [`NocError::InvalidSimWindow`] for a window that can measure no
+    /// packet (`cycles == 0`, or a warm-up at least as long as the run),
     /// or the pattern's validation error (including networks of fewer
     /// than two cores).
     pub fn run(
@@ -327,9 +458,8 @@ impl FlitNetwork {
         warmup: u64,
         seed: u64,
     ) -> Result<FlitSimResult, NocError> {
-        if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-            return Err(NocError::InvalidInjectionRate { rate });
-        }
+        check_rate(rate)?;
+        check_window(cycles, warmup)?;
         pattern.validate(&self.topo)?;
         self.reset();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -339,6 +469,7 @@ impl FlitNetwork {
         let packet_flits = self.config.packet_flits;
         let inject_capacity = self.config.vc_buffer_flits * vcs;
         let routers = self.router_grid.nodes();
+        let nodes = self.topo.nodes();
         let mut next_packet: u64 = 0;
         let mut total_latency: u64 = 0;
         let mut measured: u64 = 0;
@@ -346,30 +477,37 @@ impl FlitNetwork {
         let mut zero_latency_sum: f64 = 0.0;
 
         for cycle in 0..cycles {
-            // 1. Generate new packets.
-            let p = rate * pattern.burst_scale(cycle);
-            for src in 0..self.topo.nodes() {
-                if rng.gen::<f64>() < p {
-                    let dst = pattern.destination(src, &self.topo, &mut rng);
-                    let dst_router = self.router_of[dst];
-                    next_packet += 1;
-                    for f in 0..packet_flits {
-                        self.pending[src].push_back(Flit {
-                            dst_router,
-                            is_tail: f == packet_flits - 1,
-                            injected_at: cycle,
-                        });
-                    }
-                    in_network += 1;
-                    zero_latency_sum += self
-                        .router_grid
-                        .manhattan_hops(self.router_of[src], dst_router)
-                        as f64;
+            // 1. Generate new packets: one gate draw per core.
+            let threshold = gate_threshold(rate * pattern.burst_scale(cycle));
+            let mut src = 0;
+            loop {
+                src = next_injector(&mut rng, src, nodes, threshold);
+                if src == nodes {
+                    break;
                 }
+                let dst = pattern.destination(src, &self.topo, &mut rng);
+                let dst_router = self.router_of[dst];
+                next_packet += 1;
+                for f in 0..packet_flits {
+                    self.pending[src].push_back(Flit {
+                        dst_router,
+                        is_tail: f == packet_flits - 1,
+                        injected_at: cycle,
+                    });
+                }
+                self.pending_cores.insert(src);
+                in_network += 1;
+                zero_latency_sum +=
+                    self.router_grid
+                        .manhattan_hops(self.router_of[src], dst_router) as f64;
+                src += 1;
             }
 
             // 2. Inject pending flits into the local input VC 0 if space.
-            for (src, pending) in self.pending.iter_mut().enumerate() {
+            let mut from = 0;
+            while let Some(src) = self.pending_cores.next(from) {
+                from = src + 1;
+                let pending = &mut self.pending[src];
                 let router = self.router_of[src];
                 let base = self.port_base[router];
                 while self.buffers.queues[base * vcs].len() < inject_capacity {
@@ -381,7 +519,10 @@ impl FlitNetwork {
                         eligible: cycle + pipeline,
                         out: self.next_port[router * routers + flit.dst_router],
                     };
-                    self.buffers.push(router, base, 0, buffered);
+                    self.buffers.push(base, 0, buffered, cycle);
+                }
+                if pending.is_empty() {
+                    self.pending_cores.remove(src);
                 }
             }
 
@@ -395,7 +536,7 @@ impl FlitNetwork {
                             out: self.next_port[router * routers + flit.dst_router],
                         };
                         let base = self.port_base[router];
-                        self.buffers.push(router, base, input * vcs + vc, buffered);
+                        self.buffers.push(base, input * vcs + vc, buffered, cycle);
                     }
                     None => {
                         // Ejection: packet leaves on its tail flit.
@@ -411,44 +552,40 @@ impl FlitNetwork {
                 }
             }
 
-            // 4. Switch allocation: each output picks one eligible
-            //    (input, vc) head flit, round-robin.
-            for router in 0..routers {
-                if self.buffers.occupancy[router] == 0 {
-                    continue;
-                }
+            // 4. Switch allocation: each requested output, router by
+            //    router, picks one eligible (input, vc) head flit with a
+            //    downstream credit, round-robin.
+            self.buffers.mature(cycle);
+            let mut from = 0;
+            while let Some(port) = self.buffers.requested.next(from) {
+                from = port + 1;
+                let router = self.port_router[port];
                 let base = self.port_base[router];
                 let slots = (self.port_base[router + 1] - base) * vcs;
-                for port in base..self.port_base[router + 1] {
-                    // VC allocation on the output reuses the input's VC
-                    // index downstream and needs a credit there; ejection
-                    // always has credit.
-                    let ejection = self.downstream[port].is_none();
-                    let heads = &self.buffers.heads[port * words..(port + 1) * words];
-                    let queues = &self.buffers.queues[base * vcs..];
-                    let credits = &self.credits[port * vcs..(port + 1) * vcs];
-                    let winner = round_robin(heads, self.rr[port], slots, |slot| {
-                        let head = queues[slot].front().expect("indexed slot holds a flit");
-                        head.eligible <= cycle && (ejection || credits[slot % vcs] > 0)
-                    });
-                    let Some(slot) = winner else {
-                        continue;
-                    };
-                    self.rr[port] = (slot + 1) % slots;
-                    let vc = slot % vcs;
-                    let flit = self.buffers.pop(router, base, slot);
-                    if !ejection {
-                        self.credits[port * vcs + vc] -= 1;
-                    }
-                    self.wires.push(OnWire { flit, port, vc });
-                    // Credit return: the buffer slot this flit just freed
-                    // belongs to the upstream channel feeding its input.
-                    if let Some(up) = self.upstream[base + slot / vcs] {
-                        self.credits[up * vcs + vc] += 1;
-                    }
-                    if self.buffers.occupancy[router] == 0 {
-                        break;
-                    }
+                // VC allocation on the output reuses the input's VC index
+                // downstream and needs a credit there; ejection always has
+                // credit.
+                let ejection = self.downstream[port].is_none();
+                let heads = &self.buffers.heads[port * words..(port + 1) * words];
+                let credits = &self.credits[port * vcs..(port + 1) * vcs];
+                let split = &self.slot_split;
+                let winner = round_robin(heads, self.rr[port], slots, |slot| {
+                    ejection || credits[split[slot].1] > 0
+                });
+                let Some(slot) = winner else {
+                    continue;
+                };
+                self.rr[port] = if slot + 1 == slots { 0 } else { slot + 1 };
+                let (input, vc) = self.slot_split[slot];
+                let flit = self.buffers.pop(base, slot, cycle);
+                if !ejection {
+                    self.credits[port * vcs + vc] -= 1;
+                }
+                self.wires.push(OnWire { flit, port, vc });
+                // Credit return: the buffer slot this flit just freed
+                // belongs to the upstream channel feeding its input.
+                if let Some(up) = self.upstream[base + input] {
+                    self.credits[up * vcs + vc] += 1;
                 }
             }
         }
@@ -546,21 +683,28 @@ fn neighbors(kind: NocKind, grid: &Topology, r: usize) -> Vec<usize> {
 }
 
 /// Sweeps injection rates on a flit-level network and returns a
-/// [`LoadLatencyCurve`](crate::load_latency::LoadLatencyCurve) comparable
-/// with the reservation engine's — the full-fidelity path for router
-/// curves.
+/// [`LoadLatencyCurve`] comparable with the reservation engine's — the
+/// full-fidelity path for router curves. The curve stops after its
+/// second saturated point, as
+/// [`LoadLatencySweep::run`](crate::load_latency::LoadLatencySweep::run)'s
+/// does.
 ///
 /// # Errors
 ///
-/// Propagates invalid rates or patterns.
+/// Returns the rate-grid errors of
+/// [`LoadLatencySweep::run`](crate::load_latency::LoadLatencySweep::run)
+/// ([`NocError::EmptyRateGrid`], [`NocError::InvalidInjectionRate`],
+/// [`NocError::UnorderedRateGrid`]), checked for the whole grid before
+/// anything runs, then the configuration, window and pattern errors of
+/// [`FlitNetwork::new`] and [`FlitNetwork::run`].
 pub fn flit_load_latency(
     config: FlitConfig,
     pattern: TrafficPattern,
     rates: &[f64],
     cycles: u64,
     warmup: u64,
-) -> Result<crate::load_latency::LoadLatencyCurve, NocError> {
-    use crate::load_latency::{LoadLatencyCurve, LoadLatencyPoint};
+) -> Result<LoadLatencyCurve, NocError> {
+    check_rate_grid(rates)?;
     let mut net = FlitNetwork::new(config)?;
     let mut points = Vec::new();
     let mut saturated_seen = 0;
@@ -671,6 +815,61 @@ mod tests {
             matches!(err, NocError::InvalidNodeCount { nodes: 1, .. }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn rejects_windows_that_measure_nothing() {
+        // Regression: a zero-cycle window returned avg_latency 0, not
+        // saturated, and a warm-up as long as the run 0 packets,
+        // saturated — the reservation engine rejects both.
+        let mut net = mesh64(RouterClass::OneCycle);
+        for (cycles, warmup) in [(0, 0), (500, 500), (1_000, 2_000)] {
+            assert_eq!(
+                net.run(TrafficPattern::UniformRandom, 0.01, cycles, warmup, 7),
+                Err(NocError::InvalidSimWindow { cycles, warmup }),
+                "cycles {cycles}, warmup {warmup}"
+            );
+        }
+    }
+
+    #[test]
+    fn rate_grids_are_checked_like_load_latency_sweeps() {
+        // Regression: an empty grid returned a point-less curve whose
+        // `zero_load_latency()` panicked, a descending grid ran, and a
+        // bad rate past two saturated points went unnoticed.
+        use crate::load_latency::LoadLatencySweep;
+        use crate::sim::SimConfig;
+        let t77 = cryowire_device::Temperature::liquid_nitrogen();
+        let mesh = crate::RouterNetwork::mesh64(RouterClass::OneCycle, t77);
+        let config = FlitConfig::table4_mesh64(RouterClass::OneCycle);
+        let pattern = TrafficPattern::UniformRandom;
+        for (grid, expected) in [
+            (vec![], NocError::EmptyRateGrid),
+            (
+                vec![0.05, 0.01],
+                NocError::UnorderedRateGrid {
+                    index: 1,
+                    rate: 0.01,
+                    previous: 0.05,
+                },
+            ),
+            (
+                vec![0.5, 0.8, 1.5],
+                NocError::InvalidInjectionRate { rate: 1.5 },
+            ),
+        ] {
+            let sweep = LoadLatencySweep::new(grid.clone()).with_config(SimConfig {
+                cycles: 2_000,
+                warmup: 500,
+                ..SimConfig::default()
+            });
+            assert_eq!(sweep.run(&mesh, pattern), Err(expected.clone()), "{grid:?}");
+            assert_eq!(
+                flit_load_latency(config, pattern, &grid, 2_000, 500),
+                Err(expected),
+                "{grid:?}"
+            );
+        }
     }
 
     #[test]

@@ -155,6 +155,15 @@ impl Network for HybridCryoBus {
         // a route class is exactly a way.
         self.ways
     }
+
+    fn route_group(&self, core: usize) -> usize {
+        // Routes run cluster bus to cluster bus.
+        self.cluster_of(core)
+    }
+
+    fn route_groups(&self) -> usize {
+        self.clusters
+    }
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ impl LoadLatencySweep {
         networks: &[&(dyn Network + Sync)],
         pattern: TrafficPattern,
     ) -> Result<Vec<LoadLatencyCurve>, NocError> {
-        self.validate_rates()?;
+        check_rate_grid(&self.rates)?;
         let mut books: Vec<TraceBook> = Vec::new();
         let book_of: Vec<usize> = networks
             .iter()
@@ -228,7 +228,7 @@ impl LoadLatencySweep {
         pattern: TrafficPattern,
         faults: &FaultSchedule,
     ) -> Result<LoadLatencyCurve, SimError> {
-        self.validate_rates()?;
+        check_rate_grid(&self.rates)?;
         let mut scratch = SimScratch::new();
         self.curve(network, |_, rate| {
             self.sim
@@ -282,27 +282,28 @@ impl LoadLatencySweep {
             points,
         })
     }
+}
 
-    /// Checks the whole rate grid: non-empty, every rate a probability,
-    /// strictly ascending.
-    fn validate_rates(&self) -> Result<(), NocError> {
-        if self.rates.is_empty() {
-            return Err(NocError::EmptyRateGrid);
-        }
-        for &rate in &self.rates {
-            check_rate(rate)?;
-        }
-        for (i, pair) in self.rates.windows(2).enumerate() {
-            if pair[1] <= pair[0] {
-                return Err(NocError::UnorderedRateGrid {
-                    index: i + 1,
-                    rate: pair[1],
-                    previous: pair[0],
-                });
-            }
-        }
-        Ok(())
+/// Checks a whole load–latency rate grid: non-empty, every rate a
+/// probability, strictly ascending. Shared by [`LoadLatencySweep`] and
+/// the flit engine's [`flit_load_latency`](crate::flit::flit_load_latency).
+pub(crate) fn check_rate_grid(rates: &[f64]) -> Result<(), NocError> {
+    if rates.is_empty() {
+        return Err(NocError::EmptyRateGrid);
     }
+    for &rate in rates {
+        check_rate(rate)?;
+    }
+    for (i, pair) in rates.windows(2).enumerate() {
+        if pair[1] <= pair[0] {
+            return Err(NocError::UnorderedRateGrid {
+                index: i + 1,
+                rate: pair[1],
+                previous: pair[0],
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The fault-free injection traces of one topology in a

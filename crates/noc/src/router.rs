@@ -513,8 +513,25 @@ impl Network for RouterNetwork {
         Some(self.table.legs(&route))
     }
 
+    fn route_group(&self, core: usize) -> usize {
+        // Routes run router to router.
+        self.rule.router_of(core)
+    }
+
+    fn route_groups(&self) -> usize {
+        self.rule.routers().nodes()
+    }
+
     fn next_hop_table(&self) -> Option<&NextHopTable> {
         Some(&self.table)
+    }
+
+    fn zero_load_latency(&self, src: usize, dst: usize) -> u64 {
+        // The table yields `path`'s legs without allocating them.
+        let mut zero = 0;
+        self.table
+            .walk(src, dst, |leg| zero += leg.traversal_cycles);
+        zero
     }
 }
 

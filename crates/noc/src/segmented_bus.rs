@@ -103,13 +103,12 @@ impl Network for SegmentedBus {
         self.segments
     }
 
-    fn path(&self, src: usize, dst: usize, _tag: u64) -> Vec<PacketLeg> {
+    fn path(&self, src: usize, _dst: usize, _tag: u64) -> Vec<PacketLeg> {
         // Snooping request: the broadcast must drive every segment, but
         // segments are claimed in sequence from the source outward —
         // modelled as holding each segment for its crossing time.
         let mut legs = vec![PacketLeg::latency(self.control_cycles)];
         let start = self.segment_of(src);
-        let _ = dst;
         // Order segments by distance from the source (both directions
         // propagate concurrently; the far side dominates latency, so we
         // charge the longer arm and hold every segment).
@@ -127,6 +126,15 @@ impl Network for SegmentedBus {
             legs.push(PacketLeg::on(s, occupancy, traversal));
         }
         legs
+    }
+
+    fn route_group(&self, core: usize) -> usize {
+        // A broadcast depends on the segment its source taps only.
+        self.segment_of(core)
+    }
+
+    fn route_groups(&self) -> usize {
+        self.segments
     }
 }
 

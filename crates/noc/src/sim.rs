@@ -27,12 +27,14 @@
 //!   hybrid), and every faulted run, memoizes routes per
 //!   `(network, dead-set epoch)` in a flat [`PathTable`] arena (legal
 //!   because routing is a pure function of
-//!   `(src, dst, tag % route_classes, dead)` — see
-//!   [`Network::route_classes`]). Bus routes are short and intern to a
-//!   few arena windows. Detours around dead resources are not
-//!   suffix-closed, and the faulted loop degrades, stalls and loses
-//!   packets per leg, so a faulted run keeps the arena for every epoch,
-//!   the empty dead set included.
+//!   `(route_group(src), route_group(dst), tag % route_classes, dead)` —
+//!   see [`Network::route_group`] and [`Network::route_classes`]). Keyed
+//!   by route group, a bus's table holds one route per way and the 2-way
+//!   256-node hybrid's 32, small enough to stay in L1 through a replay.
+//!   Detours around dead resources are not suffix-closed, and the
+//!   faulted loop degrades, stalls and loses packets per leg, so a
+//!   faulted run keeps the arena for every epoch, the empty dead set
+//!   included.
 //!
 //! A fault-free run is one kernel in two halves. *Draw* generates the
 //! run's injection trace, a (cycle, src, dst, tag) record per injected
@@ -108,6 +110,16 @@ impl PacketLeg {
 }
 
 /// A simulatable network: expands (src, dst) into contention legs.
+///
+/// Routing is a pure function of a packet's endpoints, its tag and the
+/// dead resources, and most networks see much less than that: a bus
+/// routes every core alike, a router network by the router a core sits
+/// on, the hybrid by its cluster, and an interleaved bus reads the tag
+/// only to pick a way. Provided methods declare how much less —
+/// [`Network::route_group`] for the endpoints and
+/// [`Network::route_classes`] for the tag — so a [`PathTable`] memoizes
+/// one route per (source group, destination group, class) instead of
+/// one per core pair and tag.
 pub trait Network {
     /// Display name (used by benches and reports).
     fn name(&self) -> String;
@@ -163,6 +175,26 @@ pub trait Network {
     fn route_classes(&self, dead: &[usize]) -> usize {
         let _ = dead;
         1
+    }
+
+    /// The route group of `core`, in `0..route_groups()` — the other
+    /// half of the memoization contract behind [`PathTable`].
+    ///
+    /// Implementations promise that [`Network::path`] and
+    /// [`Network::path_avoiding`] see `src` and `dst` only through
+    /// their groups: two cores of one group route alike, as sources and
+    /// as destinations, under every dead set. The default makes every
+    /// core its own group; buses and CryoBus have one group, the
+    /// segmented bus one per segment, the hybrid one per cluster and a
+    /// router network one per router.
+    fn route_group(&self, core: usize) -> usize {
+        core
+    }
+
+    /// Number of route groups (see [`Network::route_group`]): the
+    /// topology's node count by default.
+    fn route_groups(&self) -> usize {
+        self.topology().nodes()
     }
 
     /// The network's fault-free routes as a [`NextHopTable`], when they
@@ -230,14 +262,18 @@ impl SimConfig {
     ///
     /// Returns [`NocError::InvalidSimWindow`] for a degenerate window.
     pub fn validate(&self) -> Result<(), NocError> {
-        if self.cycles == 0 || self.warmup >= self.cycles {
-            return Err(NocError::InvalidSimWindow {
-                cycles: self.cycles,
-                warmup: self.warmup,
-            });
-        }
-        Ok(())
+        check_window(self.cycles, self.warmup)
     }
+}
+
+/// Rejects simulation windows that can never measure a packet: zero
+/// cycles, or a warm-up at least as long as the run. Shared by both
+/// engines.
+pub(crate) fn check_window(cycles: u64, warmup: u64) -> Result<(), NocError> {
+    if cycles == 0 || warmup >= cycles {
+        return Err(NocError::InvalidSimWindow { cycles, warmup });
+    }
+    Ok(())
 }
 
 impl Default for SimConfig {
@@ -427,11 +463,7 @@ impl InjectionTrace {
             let threshold = gate_threshold(p);
             let mut src = 0;
             loop {
-                // Gate draws alone until a node injects: a loop without
-                // calls keeps the RNG state in registers.
-                while src < n && rng.next_u64() >> 11 >= threshold {
-                    src += 1;
-                }
+                src = next_injector(rng, src, n, threshold);
                 if src == n {
                     break;
                 }
@@ -456,9 +488,22 @@ impl InjectionTrace {
 /// 53-bit draw `next_u64() >> 11` is below `⌈p · 2⁵³⌉`: scaling by a
 /// power of two is exact, a `p` of 1 or more gives a threshold above
 /// every draw (the cast saturates), and a NaN `p` gives 0, which no draw
-/// passes.
-fn gate_threshold(p: f64) -> u64 {
+/// passes. The flit engine draws its gate through it too.
+pub(crate) fn gate_threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The first node in `src..n` whose injection gate passes against
+/// `threshold` (see [`gate_threshold`]), drawing one gate per node up to
+/// it, or `n` if none passes. Shared by both engines' injection loops:
+/// gate draws alone until a node injects, in a loop without calls that
+/// keeps the RNG state in registers.
+#[inline(always)]
+pub(crate) fn next_injector(rng: &mut StdRng, mut src: usize, n: usize, threshold: u64) -> usize {
+    while src < n && rng.next_u64() >> 11 >= threshold {
+        src += 1;
+    }
+    src
 }
 
 /// Measurement accumulators of one run: packets injected at or after

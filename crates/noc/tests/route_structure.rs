@@ -13,9 +13,11 @@
 //!   destination lies in another column;
 //!
 //! every link leg must take the router pipeline plus the same cycles per
-//! router hop; and walking the network's next-hop table must yield
-//! exactly `path`'s legs (`path` follows the routing rule without the
-//! table, so this checks the table the fault-free replay walks).
+//! router hop; walking the network's next-hop table must yield exactly
+//! `path`'s legs (`path` follows the routing rule without the table, so
+//! this checks the table the fault-free replay walks); and
+//! `Network::zero_load_latency`, which sums the walk, must equal the sum
+//! of `path`'s traversal cycles.
 
 use cryowire_device::Temperature;
 use cryowire_noc::{xy_route, Network, NocKind, PacketLeg, RouterClass, RouterNetwork, Topology};
@@ -56,6 +58,11 @@ fn check(net: &RouterNetwork, kind: NocKind, nodes: usize, class: RouterClass) {
                 .expect("router networks walk a next-hop table")
                 .walk(src, dst, |leg| walked.push(leg));
             assert_eq!(walked, legs, "{ctx}: table walk and path differ");
+            assert_eq!(
+                net.zero_load_latency(src, dst),
+                legs.iter().map(|l| l.traversal_cycles).sum::<u64>(),
+                "{ctx}: zero-load latency is not path's traversal sum"
+            );
             assert_eq!(
                 legs[0],
                 PacketLeg::on(r * r + src_r, occ, rc),
