@@ -13,9 +13,9 @@
 //!    optimized engines produce [`RunOutcome`]s identical to these,
 //!    metric for metric and commit for commit, over random traces,
 //!    geometries, lane batches, and fault plans.
-//! 2. **Honest speedup denominator** — `bench-coherence` times these
+//! 2. **Honest speedup denominator** — `bench-engines` times these
 //!    (the real former code, not a strawman) against the optimized
-//!    batched path for the engine-throughput claim.
+//!    batched path for the coherence engine speedup.
 //!
 //! Nothing here is called from release builds of the simulator proper.
 

@@ -15,8 +15,8 @@
 //! dense `Vec`s sized [`AccessTrace::num_lines`], so the hot loops
 //! never hash. Directory sharer sets are `u128` bitmasks (≤ 128
 //! cores). The retained hash-map engines live in [`crate::baseline`]
-//! (behind `reference-sim`) for the bench's engine-speedup measurement
-//! and the bit-identity proptests.
+//! (behind `reference-sim`) as the bit-identity oracle and the
+//! denominator of the `bench-engines` coherence speedup.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -406,16 +406,14 @@ impl CoherenceSystem {
         self.run_lane(&self.config, trace, schedule, scratch)
     }
 
-    /// Runs `trace` once per lane config in lockstep over this system's
-    /// fabric, reusing one scratch: the interned trace, the cached
-    /// routed-path table, and every arena buffer are shared across
-    /// lanes, so N grid points that differ only in engine config pay
-    /// the trace decode and directory pricing once. Outcomes come back
-    /// in lane order and are bit-identical to running each lane alone.
-    ///
-    /// Faulted batches (a `schedule` is present) take the sequential
-    /// per-lane path — each lane re-derives its fault epochs exactly as
-    /// a scalar run would (the PR-7 NoC batching contract).
+    /// Runs `trace` once per lane config over this system's fabric, the
+    /// lanes one after another over one warm scratch: the interned
+    /// trace, the system's directory path table and every arena buffer
+    /// are shared across lanes, so N grid points that differ only in
+    /// engine config pay the trace interning and directory pricing
+    /// once. Outcomes come back in lane order and are bit-identical to
+    /// running each lane alone; under a `schedule` each lane re-derives
+    /// its fault epochs exactly as a scalar run would.
     #[must_use]
     pub fn run_batch_with(
         &self,
@@ -463,49 +461,6 @@ impl CoherenceSystem {
                     scratch,
                     self.dir_timing.as_ref(),
                 ),
-        }
-    }
-
-    /// Runs `trace` through the retained hash-map reference engine —
-    /// the pre-arena implementation kept verbatim for the bench's
-    /// engine-speedup denominator and the bit-identity proptests.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the optimized engine's errors.
-    #[cfg(any(test, feature = "reference-sim"))]
-    pub fn run_baseline(
-        &self,
-        trace: &AccessTrace,
-        schedule: Option<&FaultSchedule>,
-        scratch: &mut crate::baseline::BaselineScratch,
-    ) -> Result<RunOutcome, CoherenceError> {
-        match &self.fabric {
-            SystemFabric::CryoBus(bus) => crate::baseline::run_snooping(
-                self.config,
-                trace,
-                SnoopFabric::CryoBus(bus),
-                &self.mem,
-                schedule,
-                scratch,
-            ),
-            SystemFabric::SharedBus(bus) => crate::baseline::run_snooping(
-                self.config,
-                trace,
-                SnoopFabric::SharedBus(bus),
-                &self.mem,
-                schedule,
-                scratch,
-            ),
-            SystemFabric::Mesh { network, clock_ghz } => crate::baseline::run_directory(
-                self.config,
-                trace,
-                network,
-                *clock_ghz,
-                &self.mem,
-                schedule,
-                scratch,
-            ),
         }
     }
 }

@@ -345,8 +345,8 @@ proptest! {
         prop_assert_eq!(&opt, &base, "directory diverged from the baseline");
     }
 
-    /// Lockstep lane batches are bit-identical to running each lane
-    /// scalar with a fresh scratch — any lane mix of protocols and
+    /// Lane batches (sequential lanes over one shared scratch) are
+    /// bit-identical to running each lane scalar with a fresh scratch — any lane mix of protocols and
     /// geometries, on both fabrics, with and without a fault schedule.
     #[test]
     fn batched_lanes_are_bit_identical_to_scalar_runs(

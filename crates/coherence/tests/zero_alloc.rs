@@ -132,8 +132,8 @@ fn steady_state_hot_loops_allocate_nothing() {
         "directory scratch reuse changed a result"
     );
 
-    // Batched lockstep lanes: one trace replayed under N configs through
-    // one scratch. Same-geometry lanes reset the caches in place (a
+    // Batched lanes: one trace replayed under N configs, one lane after
+    // another through one scratch. Same-geometry lanes reset the caches in place (a
     // geometry change rebuilds them — that allocation is per-shape, not
     // steady-state), so after the warm batch a steady batch's only
     // allocation is the returned lane vector itself.

@@ -1,12 +1,13 @@
 //! Parallel, cached design-space sweeps with JSON run artifacts.
 //!
 //! ```sh
-//! cargo run --release --bin sweep -- [--sweep depth|fig27|fig21|degraded] \
+//! cargo run --release --bin sweep -- [--sweep NAME] [--list] \
 //!     [--threads N] [--out FILE] [--cache-dir DIR] \
 //!     [--temps N] [--max-split K] [--full] \
 //!     [--fault-seed N] [--inject-panic] [--canonical] \
 //!     [--journal FILE] [--resume] [--retries N] [--deadline-ms N] \
-//!     [--backoff-ms N] [--fail-fast] [--point-delay-ms N]
+//!     [--backoff-ms N] [--fail-fast] [--point-delay-ms N] \
+//!     [--cycles N] [--smoke] [--baseline FILE]
 //! ```
 //!
 //! The default sweep is the temperature × pipeline-depth grid
@@ -35,31 +36,19 @@
 //! that heal on retry, exhaust any retry budget, and trip the
 //! cooperative deadline respectively.
 //!
-//! The `bench-*` modes are throughput benchmarks, not point sweeps;
-//! each writes its `BENCH_*.json` in the shared `cryowire-bench`
-//! schema and gates CI on the *relative* `overall_speedup` with
-//! `--baseline FILE` (exit 1 on a >25 % regression — relative, so the
-//! gate holds across machines of different absolute speed):
+//! The `coherence` sweep runs its engine × cache-geometry grid on a
+//! shared trace of `--cycles N` accesses per core (default 200).
 //!
-//! * `bench-noc` times the memoized NoC engine against the retained
-//!   reference engine over the Fig. 21 uniform-random grid (`--smoke`
-//!   cuts it to two points; `--cycles`/`--warmup` override the window).
-//! * `bench-core` is the same contract for the out-of-order core
-//!   engine over a frontend-depth × width × bypass design grid
-//!   (`--cycles` overrides the trace length in instructions).
-//! * `bench-coherence` runs the cycle-level coherence engines over a
-//!   protocol/fabric × workload grid of geometry lanes, timing the
-//!   batched flat-arena engines against the retained hash-map reference
-//!   with per-lane bit-identity asserted, replays lane-0 commit logs
-//!   through the hop-count references, and gates `--baseline` on the
-//!   engine speedup; the simulated directory/snoop miss-latency ratio
-//!   (machine-independent) carries a claim-inversion check (ratio ≤ 1
-//!   fails outright).
-//! * `bench-batch` times the batched lockstep engines (whole config or
-//!   rate grids stepped through one structure-of-arrays loop) against
-//!   per-point scalar execution of the same grids, asserting per-lane
-//!   bit-identity and the harness's scalar-vs-batched canonical-JSON
-//!   identity while measuring.
+//! `bench-engines` is the perf gate, not a point sweep: it times every
+//! optimized engine domain (NoC, core, coherence, batched core grids)
+//! against its baseline with bit-identity asserted on every timed row,
+//! writes `BENCH_engines.json` (`--smoke` runs the short CI grids), and
+//! with `--baseline FILE` exits 1 when a domain's wall-time-weighted
+//! speedup falls below 75 % of the committed figure — relative, so the
+//! gate holds across machines of different absolute speed. Two claims
+//! exit 1 whatever the baseline: batched grids must beat per-point
+//! scalar runs, and the barrier-heavy directory/snoop miss-latency
+//! ratio must exceed 1.
 //!
 //! `--list` prints every registered sweep with a one-line description.
 //!
@@ -69,15 +58,13 @@
 //! regression).
 
 use cryowire::experiments::{self, Fidelity, InjectFaults, SweepOptions};
-use cryowire::noc::SimConfig;
 use cryowire_harness::{ResultCache, RunArtifact, RunJournal, SupervisePolicy};
-use serde_json::Value;
 use std::path::Path;
 use std::time::Duration;
 
 /// How a registered sweep runs: a harness grid producing a
-/// [`RunArtifact`], or a self-contained benchmark mode that emits its
-/// own `BENCH_*.json` and exits.
+/// [`RunArtifact`], or the benchmark mode that writes its own
+/// `BENCH_engines.json` and exits.
 enum SweepKind {
     Grid(fn(&Args, SweepOptions) -> RunArtifact),
     Bench(fn(&Args) -> !),
@@ -117,28 +104,13 @@ const SWEEPS: &[SweepEntry] = &[
     },
     SweepEntry {
         name: "coherence",
-        what: "coherence engine x cache-geometry grid, lockstep-batched per engine",
+        what: "coherence engine x cache-geometry grid, one batch of sequential lanes per engine",
         kind: SweepKind::Grid(grid_coherence),
     },
     SweepEntry {
-        name: "bench-noc",
-        what: "times the memoized NoC engine vs its reference; writes BENCH_noc.json",
-        kind: SweepKind::Bench(run_bench_noc),
-    },
-    SweepEntry {
-        name: "bench-core",
-        what: "times the ring-buffer core engine vs its reference; writes BENCH_core.json",
-        kind: SweepKind::Bench(run_bench_core),
-    },
-    SweepEntry {
-        name: "bench-coherence",
-        what: "cycle-level coherence engines over protocol x workload; writes BENCH_coherence.json",
-        kind: SweepKind::Bench(run_bench_coherence),
-    },
-    SweepEntry {
-        name: "bench-batch",
-        what: "times batched lockstep grids vs per-point scalar runs; writes BENCH_batch.json",
-        kind: SweepKind::Bench(run_bench_batch),
+        name: "bench-engines",
+        what: "times every engine domain vs its baseline; writes BENCH_engines.json",
+        kind: SweepKind::Bench(run_bench_engines),
     },
 ];
 
@@ -156,7 +128,6 @@ struct Args {
     smoke: bool,
     baseline: Option<String>,
     cycles: Option<u64>,
-    warmup: Option<u64>,
     journal: Option<String>,
     resume: bool,
     retries: u32,
@@ -181,7 +152,6 @@ fn parse_args() -> Args {
         smoke: false,
         baseline: None,
         cycles: None,
-        warmup: None,
         journal: None,
         resume: false,
         retries: 0,
@@ -236,18 +206,15 @@ fn parse_args() -> Args {
                 std::process::exit(0);
             }
             "--cycles" => args.cycles = Some(parse(&value("--cycles"), "--cycles")),
-            "--warmup" => args.warmup = Some(parse(&value("--warmup"), "--warmup")),
             "--help" | "-h" => {
                 println!(
-                    "usage: sweep [--sweep depth|fig27|fig21|degraded|coherence|bench-noc|bench-core|\n\
-                     \x20                     bench-coherence|bench-batch] [--list]\n\
+                    "usage: sweep [--sweep depth|fig27|fig21|degraded|coherence|bench-engines] [--list]\n\
                      \x20            [--threads N] [--out FILE] [--cache-dir DIR] [--temps N]\n\
                      \x20            [--max-split K] [--full] [--fault-seed N] [--inject-panic]\n\
                      \x20            [--inject-flaky] [--inject-poison] [--inject-wedge]\n\
                      \x20            [--journal FILE] [--resume] [--retries N] [--deadline-ms N]\n\
                      \x20            [--backoff-ms N] [--fail-fast] [--point-delay-ms N]\n\
-                     \x20            [--canonical] [--smoke] [--baseline FILE] [--cycles N]\n\
-                     \x20            [--warmup N]\n\
+                     \x20            [--canonical] [--cycles N] [--smoke] [--baseline FILE]\n\
                      --list prints the registered sweep names with one-line\n\
                      descriptions and exits.\n\
                      --canonical emits only the deterministic portion (no timing or\n\
@@ -264,30 +231,14 @@ fn parse_args() -> Args {
                      attempts (chaos testing). --inject-flaky/--inject-poison/\n\
                      --inject-wedge append typed-failure points to the degraded\n\
                      sweep (heals on retry / always fails / trips the deadline).\n\
-                     bench-noc: times the memoized NoC engine vs the reference engine\n\
-                     and writes BENCH_noc.json; --smoke runs the 2-point CI grid,\n\
-                     --baseline FILE fails (exit 1) on a >25% relative-speedup\n\
-                     regression, --cycles/--warmup override the simulated window.\n\
-                     bench-core: same contract for the OoO core engine; times the\n\
-                     ring-buffer engine vs the reference over a depth x width x\n\
-                     bypass grid and writes BENCH_core.json (--cycles overrides the\n\
-                     trace length in instructions).\n\
-                     bench-coherence: runs the cycle-level coherence engines (MESI\n\
-                     snooping on the CryoBus, MESI directory on the mesh, Dragon)\n\
-                     over workload-calibrated sharing traces, timing the batched\n\
-                     flat-arena engines vs the hash-map reference per geometry\n\
-                     grid with bit-identity asserted, cross-checks commit logs\n\
-                     against the hop-count references, and writes\n\
-                     BENCH_coherence.json; overall_speedup is the engine speedup\n\
-                     (--baseline gates it) and the barrier-heavy directory/snoop\n\
-                     miss-latency ratio carries the claim-inversion check\n\
-                     (--cycles overrides accesses per core).\n\
-                     bench-batch: times the batched lockstep engines (whole config\n\
-                     or rate grids through one structure-of-arrays loop) vs\n\
-                     per-point scalar execution, asserts per-lane bit-identity and\n\
-                     the harness canonical-JSON identity, and writes\n\
-                     BENCH_batch.json (--cycles/--warmup set the NoC window,\n\
-                     --baseline gates identically).\n\
+                     --cycles N sets the coherence sweep's accesses per core.\n\
+                     bench-engines: times the NoC, core and coherence engines vs\n\
+                     their frozen references and the batched core grids vs scalar\n\
+                     runs, asserting bit-identity on every timed row, and writes\n\
+                     BENCH_engines.json; --smoke runs the CI grids, --baseline FILE\n\
+                     fails (exit 1) when a domain's speedup falls below 75% of the\n\
+                     committed figure; a claim at or below 1 (batched vs scalar,\n\
+                     barrier-heavy directory/snoop latency) always fails.\n\
                      exit codes: 0 ok, 2 partial point failures, 1 fatal"
                 );
                 std::process::exit(0);
@@ -391,215 +342,53 @@ fn grid_coherence(args: &Args, opts: SweepOptions) -> RunArtifact {
 
 // ------------------------------------------------------- bench dispatch
 
-/// The shared tail of every bench mode: emit the document, apply the
-/// optional claim-inversion check and the `--baseline` gate, exit 0.
-/// Never returns.
-fn finish_bench(
-    args: &Args,
-    mode: &str,
-    noun: &str,
-    json: &Value,
-    overall: f64,
-    claim: Option<&str>,
-) -> ! {
-    cryowire_bench::emit(mode, json, args.out.as_deref()).unwrap_or_else(|e| die(&e));
-    if let Some(claim) = claim {
-        cryowire_bench::claim_gate(mode, claim, overall).unwrap_or_else(|e| die(&e));
+/// Runs `bench-engines`: times every engine domain, writes
+/// `BENCH_engines.json` and applies the gate. Never returns.
+fn run_bench_engines(args: &Args) -> ! {
+    // Read the committed figures before anything is written: `--out`
+    // may name the same file.
+    let baseline = args
+        .baseline
+        .as_deref()
+        .map(|path| cryowire_bench::read_baseline(path).unwrap_or_else(|e| die(&e)));
+    let run = experiments::bench_engines(args.smoke);
+    for r in &run.rows {
+        eprintln!(
+            "bench-engines: {:<9} {:<34} {:>2} lane(s)  optimized {:>8.2} ms ({:>7.2} M/s)  \
+             baseline {:>8.2} ms  speedup {:.2}x",
+            r.domain,
+            r.grid,
+            r.lanes,
+            r.wall_ms_optimized,
+            r.throughput,
+            r.wall_ms_baseline,
+            r.speedup
+        );
     }
-    cryowire_bench::baseline_gate(mode, noun, overall, args.baseline.as_deref())
-        .unwrap_or_else(|e| die(&e));
+    let speedups = run.speedups();
+    for (domain, speedup) in &speedups {
+        eprintln!("bench-engines: {domain} speedup {speedup:.2}x (wall-time weighted)");
+    }
+    let claims = run.claims();
+    for (claim, ratio) in &claims {
+        eprintln!("bench-engines: claim: {claim}: {ratio:.2}x");
+    }
+    let doc = experiments::bench_engines_json(&run);
+    let rendered = serde_json::to_string_pretty(&doc).expect("bench document serializes");
+    match args.out.as_deref() {
+        Some(path) => {
+            std::fs::write(path, rendered + "\n")
+                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+            eprintln!("bench-engines: artifact written to {path}");
+        }
+        None => println!("{rendered}"),
+    }
+    cryowire_bench::gate(&speedups, &claims, baseline.as_ref())
+        .unwrap_or_else(|e| die(&format!("bench-engines: {e}")));
+    if baseline.is_some() {
+        eprintln!("bench-engines: gate ok (every domain at or above 75% of its baseline)");
+    }
     std::process::exit(0);
-}
-
-/// Runs the `bench-noc` throughput benchmark. Never returns.
-fn run_bench_noc(args: &Args) -> ! {
-    let cycles = args
-        .cycles
-        .unwrap_or(if args.smoke { 8_000 } else { 30_000 });
-    let config = SimConfig {
-        cycles,
-        warmup: args.warmup.unwrap_or(cycles / 4),
-        ..SimConfig::default()
-    };
-    let (rates, networks) = experiments::bench_noc_grid(args.smoke);
-    let result = experiments::bench_noc(config, &rates, &networks)
-        .unwrap_or_else(|e| die(&format!("bench-noc: {e}")));
-    for p in &result.points {
-        eprintln!(
-            "bench-noc: {:<24} rate {:<6} optimized {:>8.2} ms ({:>10.0} pkt/s)  \
-             reference {:>8.2} ms ({:>10.0} pkt/s)  speedup {:.2}x",
-            p.network,
-            p.rate,
-            p.wall_ms_optimized,
-            p.packets_per_sec_optimized,
-            p.wall_ms_reference,
-            p.packets_per_sec_reference,
-            p.speedup
-        );
-    }
-    eprintln!(
-        "bench-noc: overall speedup {:.2}x (min {:.2}x, geomean {:.2}x) over {} points \
-         ({} cycles, {} warmup)",
-        result.overall_speedup,
-        result.min_speedup,
-        result.geomean_speedup,
-        result.points.len(),
-        result.cycles,
-        result.warmup
-    );
-    let json = experiments::bench_noc_json(&result);
-    finish_bench(
-        args,
-        "bench-noc",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
-    )
-}
-
-/// Runs the `bench-core` throughput benchmark. Never returns.
-fn run_bench_core(args: &Args) -> ! {
-    // Six million instructions per point: long enough that the
-    // reference engine's O(n) scoreboards (5 series x 8 B x n, ~240 MB
-    // per run) leave the cache hierarchy and pay their allocation and
-    // DRAM cost, which is the steady-state regime real sweeps run in;
-    // the ring-buffer engine's footprint is a few KB regardless.
-    let insts = args.cycles.unwrap_or(6_000_000) as usize;
-    let grid = experiments::bench_core_grid(args.smoke);
-    let result = experiments::bench_core(insts, 7, &grid);
-    for p in &result.points {
-        eprintln!(
-            "bench-core: {:<12} ipc {:<5.2} optimized {:>7.2} ms ({:>7.1} Minst/s)  \
-             reference {:>7.2} ms ({:>7.1} Minst/s)  speedup {:.2}x",
-            p.name,
-            p.ipc,
-            p.wall_ms_optimized,
-            p.minsts_per_sec_optimized,
-            p.wall_ms_reference,
-            p.minsts_per_sec_reference,
-            p.speedup
-        );
-    }
-    eprintln!(
-        "bench-core: overall speedup {:.2}x (min {:.2}x, geomean {:.2}x) over {} points \
-         ({} instructions, seed {})",
-        result.overall_speedup,
-        result.min_speedup,
-        result.geomean_speedup,
-        result.points.len(),
-        result.insts,
-        result.seed
-    );
-    let json = experiments::bench_core_json(&result);
-    finish_bench(
-        args,
-        "bench-core",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
-    )
-}
-
-/// Runs the `bench-coherence` benchmark. Never returns.
-fn run_bench_coherence(args: &Args) -> ! {
-    // Accesses per core: enough that the steady-state sharing traffic
-    // dominates the cold-fill transient on every workload profile.
-    let accesses = args.cycles.unwrap_or(if args.smoke { 400 } else { 2_000 }) as usize;
-    let grid = experiments::bench_coherence_grid(args.smoke);
-    let result = experiments::bench_coherence(accesses, &grid);
-    for p in &result.points {
-        eprintln!(
-            "bench-coherence: {:<36} {:<16} {} lanes  miss {:>6.2} ns  \
-             optimized {:>7.2} ms ({:>6.2} Macc/s)  reference {:>7.2} ms  speedup {:.2}x",
-            p.name,
-            p.pattern,
-            p.lanes,
-            p.avg_miss_ns,
-            p.wall_ms_optimized,
-            p.maccesses_per_sec,
-            p.wall_ms_reference,
-            p.speedup
-        );
-    }
-    eprintln!(
-        "bench-coherence: engine speedup {:.2}x (min {:.2}x, geomean {:.2}x) over {} points; \
-         barrier-heavy directory/snoop latency ratio {:.2}x \
-         (directory {:.2} ns vs CryoBus snoop {:.2} ns; {} accesses/core, {} cores)",
-        result.overall_speedup,
-        result.min_speedup,
-        result.geomean_speedup,
-        result.points.len(),
-        result.barrier_ratio,
-        result.barrier_directory_ns,
-        result.barrier_snoop_ns,
-        result.accesses_per_core,
-        result.cores
-    );
-    // The machine-independent paper claim gates on inversion directly;
-    // the engine speedup is what `--baseline` tracks.
-    cryowire_bench::claim_gate(
-        "bench-coherence",
-        "barrier-heavy sharing must be cheaper \
-         on CryoBus snooping than the mesh directory",
-        result.barrier_ratio,
-    )
-    .unwrap_or_else(|e| die(&e));
-    let json = experiments::bench_coherence_json(&result);
-    finish_bench(
-        args,
-        "bench-coherence",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
-    )
-}
-
-/// Runs the `bench-batch` benchmark. Never returns.
-fn run_bench_batch(args: &Args) -> ! {
-    let cycles = args
-        .cycles
-        .unwrap_or(if args.smoke { 8_000 } else { 30_000 });
-    let config = SimConfig {
-        cycles,
-        warmup: args.warmup.unwrap_or(cycles / 4),
-        ..SimConfig::default()
-    };
-    // Enough instructions that the decoded trace leaves the fastest
-    // caches and the decode-once amortization is measured in its
-    // steady regime; the smoke grid keeps CI fast.
-    let insts = if args.smoke { 1_500_000 } else { 6_000_000 };
-    let result = experiments::bench_batch(insts, 7, config, args.smoke)
-        .unwrap_or_else(|e| die(&format!("bench-batch: {e}")));
-    for p in &result.points {
-        eprintln!(
-            "bench-batch: {:<24} {:>2} lanes  scalar {:>8.2} ms  batched {:>8.2} ms  \
-             speedup {:.2}x",
-            p.name, p.lanes, p.wall_ms_scalar, p.wall_ms_batched, p.speedup
-        );
-    }
-    eprintln!(
-        "bench-batch: overall speedup {:.2}x (min {:.2}x, geomean {:.2}x) over {} grids \
-         ({} instructions, {} cycles, {} warmup)",
-        result.overall_speedup,
-        result.min_speedup,
-        result.geomean_speedup,
-        result.points.len(),
-        result.insts,
-        result.cycles,
-        result.warmup
-    );
-    let json = experiments::bench_batch_json(&result);
-    finish_bench(
-        args,
-        "bench-batch",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
-    )
 }
 
 fn main() {

@@ -59,6 +59,23 @@ pub(crate) fn shared_parsec_trace() -> std::sync::Arc<cryowire_ooo::Trace> {
     TraceArena::global().get(&TraceConfig::parsec_like(), 120_000, 7)
 }
 
+/// The configuration grid of the cross-validation, in the order
+/// [`ipc_cross_validation`] reads it: Table 3's IPC column plus the
+/// pipelined-backend observation point.
+#[must_use]
+pub fn ipc_validation_grid() -> Vec<(String, CoreConfig)> {
+    vec![
+        ("skylake-8w".into(), CoreConfig::skylake_8_wide()),
+        ("superpipe-8w".into(), CoreConfig::superpipelined_8_wide()),
+        ("cryocore-4w".into(), CoreConfig::cryocore_4_wide()),
+        ("cryosp".into(), CoreConfig::cryosp()),
+        (
+            "skylake-8w-b2".into(),
+            CoreConfig::skylake_8_wide().with_bypass_cycles(2),
+        ),
+    ]
+}
+
 /// Runs the cross-validation on a PARSEC-like trace.
 ///
 /// The five configurations are independent simulations of one shared
@@ -68,13 +85,7 @@ pub(crate) fn shared_parsec_trace() -> std::sync::Arc<cryowire_ooo::Trace> {
 #[must_use]
 pub fn ipc_cross_validation() -> IpcValidation {
     let trace = shared_parsec_trace();
-    let configs = [
-        CoreConfig::skylake_8_wide(),
-        CoreConfig::superpipelined_8_wide(),
-        CoreConfig::cryocore_4_wide(),
-        CoreConfig::cryosp(),
-        CoreConfig::skylake_8_wide().with_bypass_cycles(2),
-    ];
+    let configs: Vec<CoreConfig> = ipc_validation_grid().into_iter().map(|(_, c)| c).collect();
     let ipcs = Executor::new(configs.len()).run(&configs, |_, cfg| {
         CoreSimulator::new(*cfg).run(&trace).ipc()
     });

@@ -9,10 +9,7 @@
 //! binaries.
 
 mod ablations;
-mod bench_batch;
-mod bench_coherence;
-mod bench_core;
-mod bench_noc;
+mod bench_engines;
 mod coherence_validation;
 mod ipc_validation;
 mod noc_figs;
@@ -32,21 +29,9 @@ pub use ablations::{
     DepthSweepAblation, EngineComparisonAblation, FfOverheadAblation, InterleavingAblation,
     WireThicknessAblation,
 };
-pub use bench_batch::{
-    bench_batch, bench_batch_json, bench_batch_rates, ipc_validation_grid, BenchBatchPoint,
-    BenchBatchResult,
-};
-pub use bench_coherence::{
-    bench_coherence, bench_coherence_geometries, bench_coherence_grid, bench_coherence_json,
-    BenchCoherencePoint, BenchCoherenceResult, EngineKind,
-};
-pub use bench_core::{
-    bench_core, bench_core_grid, bench_core_json, BenchCorePoint, BenchCoreResult,
-};
-pub use bench_noc::{bench_noc, bench_noc_grid, bench_noc_json, BenchNocPoint, BenchNocResult};
+pub use bench_engines::{bench_engines, bench_engines_json, BenchEngines, BenchRow};
 pub use coherence_validation::{coherence_cross_validation, CoherenceValidation};
-pub use cryowire_bench::speedup_from_json;
-pub use ipc_validation::{ipc_cross_validation, IpcValidation};
+pub use ipc_validation::{ipc_cross_validation, ipc_validation_grid, IpcValidation};
 pub use noc_figs::{
     fig16_llc_latency, fig18_bus_load_latency, fig20_bus_latency_breakdown, fig21_noc_load_latency,
     fig22_noc_power, fig25_traffic_patterns, fig26_hybrid_256, Fig16Result, Fig18Result,
@@ -60,13 +45,14 @@ pub use pipeline_figs::{
 pub use registry::{Experiment, Section, REGISTRY};
 pub use summary::{headline_summary, HeadlineSummary};
 pub use sweeps::{
-    ablation_depth_spec, coherence_spec, coherence_sweep_artifact, degraded_eval, degraded_plan,
-    degraded_spec, degraded_spec_injected, degraded_sweep_artifact,
-    degraded_sweep_artifact_injected, depth_ablation_from_artifact, depth_grid_eval,
-    depth_grid_spec, depth_sweep_artifact, fig21_from_artifact, fig21_spec, fig21_sweep_artifact,
-    fig27_from_artifact, fig27_spec, fig27_sweep_artifact, linspace_temperatures, InjectFaults,
-    SweepOptions, COHERENCE_SWEEP_ACCESSES, DEGRADED_HORIZON_CYCLES, DEGRADED_SCENARIOS,
-    FIG21_NETWORKS,
+    ablation_depth_spec, avg_miss_ns, build_system, coherence_geometries, coherence_spec,
+    coherence_sweep_artifact, coherence_trace, degraded_eval, degraded_plan, degraded_spec,
+    degraded_spec_injected, degraded_sweep_artifact, degraded_sweep_artifact_injected,
+    depth_ablation_from_artifact, depth_grid_eval, depth_grid_spec, depth_sweep_artifact,
+    fig21_from_artifact, fig21_spec, fig21_sweep_artifact, fig27_from_artifact, fig27_spec,
+    fig27_sweep_artifact, geometry_by_name, linspace_temperatures, outcome_value, EngineKind,
+    InjectFaults, SweepOptions, COHERENCE_SWEEP_ACCESSES, DEGRADED_HORIZON_CYCLES,
+    DEGRADED_SCENARIOS, FIG21_NETWORKS,
 };
 pub use system_figs::{
     fig03_cpi_stacks, fig17_bus_vs_mesh, fig23_system_performance, fig24_spec_prefetch,

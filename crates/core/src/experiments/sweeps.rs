@@ -9,13 +9,17 @@
 //! functions and these harness runs are comparable value-for-value
 //! (asserted in `tests/determinism.rs`).
 
-use cryowire_coherence::CoherenceScratch;
+use cryowire_coherence::{
+    AccessTrace, CacheGeometry, CoherenceConfig, CoherenceMetrics, CoherenceScratch,
+    CoherenceSystem, Protocol, RunOutcome, SystemFabric, TraceGenConfig,
+};
 use cryowire_device::Temperature;
 use cryowire_faults::FaultPlan;
 use cryowire_harness::supervise;
 use cryowire_harness::{
     FailureClass, Point, ResultCache, RunArtifact, SupervisePolicy, Sweep, SweepSpec,
 };
+use cryowire_memory::MemoryDesign;
 use cryowire_noc::{
     CryoBus, LoadLatencyCurve, LoadLatencyPoint, Network, NocKind, RouterClass, RouterNetwork,
     SharedBus, TrafficPattern,
@@ -388,69 +392,227 @@ pub fn fig21_from_artifact(artifact: &RunArtifact) -> Fig21Result {
 /// Accesses per core of the coherence grid sweep's shared trace.
 pub const COHERENCE_SWEEP_ACCESSES: usize = 200;
 
+/// Cores driven by every coherence trace.
+pub(crate) const COHERENCE_CORES: usize = 8;
+
+/// The engine axis of the coherence grids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineKind {
+    /// MESI snooping over the CryoBus at 77 K.
+    MesiSnoopCryoBus,
+    /// MESI with a static-home directory over the 64-node mesh.
+    MesiDirectoryMesh,
+    /// Dragon (update-based) snooping over the CryoBus at 77 K.
+    DragonSnoopCryoBus,
+}
+
+impl EngineKind {
+    /// The full engine axis, in grid order.
+    pub const ALL: [EngineKind; 3] = [
+        EngineKind::MesiSnoopCryoBus,
+        EngineKind::MesiDirectoryMesh,
+        EngineKind::DragonSnoopCryoBus,
+    ];
+
+    /// Display name used in point labels and artifacts.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineKind::MesiSnoopCryoBus => "mesi-snoop-cryobus",
+            EngineKind::MesiDirectoryMesh => "mesi-directory-mesh",
+            EngineKind::DragonSnoopCryoBus => "dragon-snoop-cryobus",
+        }
+    }
+
+    /// Inverse of [`EngineKind::name`] for axis values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name outside [`EngineKind::ALL`].
+    #[must_use]
+    pub fn by_name(name: &str) -> EngineKind {
+        *EngineKind::ALL
+            .iter()
+            .find(|e| e.name() == name)
+            .unwrap_or_else(|| panic!("unknown coherence engine `{name}`"))
+    }
+
+    fn protocol(self) -> Protocol {
+        match self {
+            EngineKind::MesiDirectoryMesh | EngineKind::MesiSnoopCryoBus => Protocol::Mesi,
+            EngineKind::DragonSnoopCryoBus => Protocol::Dragon,
+        }
+    }
+}
+
+/// The private-cache geometry lanes of every coherence grid point: the
+/// no-eviction geometry first (its lane carries the replay cross-check
+/// and the §6 miss latency — capacity misses would add
+/// reference-visible refetch traffic), then three finite caches down to
+/// a thrash-prone 4 KB.
+#[must_use]
+pub fn coherence_geometries() -> [(&'static str, CacheGeometry); 4] {
+    let finite = |size_bytes, assoc| CacheGeometry {
+        size_bytes,
+        assoc,
+        line_bytes: 64,
+    };
+    [
+        ("inf", CacheGeometry::no_evict(2048, 64)),
+        ("16k-4w", finite(16 * 1024, 4)),
+        ("8k-2w", finite(8 * 1024, 2)),
+        ("4k-2w", finite(4 * 1024, 2)),
+    ]
+}
+
+/// Inverse of the [`coherence_geometries`] name column.
+///
+/// # Panics
+///
+/// Panics on a name outside that column.
+#[must_use]
+pub fn geometry_by_name(name: &str) -> CacheGeometry {
+    coherence_geometries()
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, g)| *g)
+        .unwrap_or_else(|| panic!("unknown coherence geometry `{name}`"))
+}
+
+/// The sharing trace every coherence grid replays for `workload`: its
+/// calibrated sharing pattern over 8 cores, with `accesses_per_core`
+/// accesses each and a fixed seed.
+///
+/// # Panics
+///
+/// Panics if the calibrated generator rejects its own configuration.
+#[must_use]
+pub fn coherence_trace(workload: &Workload, accesses_per_core: usize) -> AccessTrace {
+    TraceGenConfig::from_workload(workload, COHERENCE_CORES, accesses_per_core, 0xC0_11E5)
+        .generate()
+        .expect("workload trace generates")
+}
+
+/// The config of one geometry lane of `kind`, commit log recorded.
+pub(crate) fn lane_config(kind: EngineKind, geometry: CacheGeometry) -> CoherenceConfig {
+    CoherenceConfig {
+        protocol: kind.protocol(),
+        geometry,
+        record_commits: true,
+        ..CoherenceConfig::default()
+    }
+}
+
+/// Builds the system for `kind` at 77 K with `geometry`'s lane config
+/// (a batch re-validates each lane's own config); returns it with the
+/// fabric clock in GHz. Directory construction builds the fault-free
+/// path table once here, shared by every lane run through the system.
+///
+/// # Panics
+///
+/// Panics if the fixed 77 K fabrics reject a lane config.
+#[must_use]
+pub fn build_system(kind: EngineKind, geometry: CacheGeometry) -> (CoherenceSystem, f64) {
+    let t77 = Temperature::liquid_nitrogen();
+    let mem = MemoryDesign::mem_77k();
+    let config = lane_config(kind, geometry);
+    match kind {
+        EngineKind::MesiSnoopCryoBus | EngineKind::DragonSnoopCryoBus => {
+            let bus = CryoBus::new(64, t77);
+            let clock = bus.clock_ghz();
+            let system = CoherenceSystem::snooping(SystemFabric::CryoBus(bus), mem, config)
+                .expect("snooping config is valid");
+            (system, clock)
+        }
+        EngineKind::MesiDirectoryMesh => {
+            let network = RouterNetwork::mesh64(RouterClass::OneCycle, t77);
+            let system = CoherenceSystem::directory(network, 5.44, mem, config)
+                .expect("directory config is valid");
+            (system, 5.44)
+        }
+    }
+}
+
+/// Average nanoseconds a miss spends beyond its 1-cycle issue, at a
+/// fabric clock of `clock_ghz`.
+#[must_use]
+pub fn avg_miss_ns(m: &CoherenceMetrics, clock_ghz: f64) -> f64 {
+    (m.total_latency_cycles - m.hits) as f64 / m.misses.max(1) as f64 / clock_ghz
+}
+
+/// One lane outcome as a grid point's value: every deterministic
+/// counter plus the commit-log length.
+#[must_use]
+pub fn outcome_value(out: &RunOutcome) -> Value {
+    let m = &out.metrics;
+    Value::Object(vec![
+        ("accesses".into(), Value::UInt(m.accesses)),
+        ("hits".into(), Value::UInt(m.hits)),
+        ("misses".into(), Value::UInt(m.misses)),
+        ("upgrades".into(), Value::UInt(m.upgrades)),
+        ("bus_transactions".into(), Value::UInt(m.bus_transactions)),
+        ("network_messages".into(), Value::UInt(m.network_messages)),
+        ("updates".into(), Value::UInt(m.updates)),
+        ("invalidations".into(), Value::UInt(m.invalidations)),
+        ("c2c_transfers".into(), Value::UInt(m.c2c_transfers)),
+        ("fills".into(), Value::UInt(m.fills)),
+        ("writebacks".into(), Value::UInt(m.writebacks)),
+        ("evictions".into(), Value::UInt(m.evictions)),
+        ("cycles".into(), Value::UInt(m.cycles)),
+        (
+            "total_latency_cycles".into(),
+            Value::UInt(m.total_latency_cycles),
+        ),
+        ("commits".into(), Value::UInt(out.commits.len() as u64)),
+    ])
+}
+
 /// The coherence grid: engine × private-cache geometry, every point
 /// replaying the same barrier-heavy (streamcluster) trace. Points of
 /// one engine share the trace *and* the fabric, so the harness groups
-/// them into a single lockstep batch per engine
-/// ([`coherence_sweep_artifact`]).
+/// them into one batch per engine ([`coherence_sweep_artifact`]).
 #[must_use]
 pub fn coherence_spec() -> SweepSpec {
     SweepSpec::new("coherence-geometry")
         .axis(
             "engine",
-            super::bench_coherence::EngineKind::ALL
-                .iter()
-                .map(|e| e.name().to_string()),
+            EngineKind::ALL.iter().map(|e| e.name().to_string()),
         )
         .axis(
             "geometry",
-            super::bench_coherence_geometries()
-                .iter()
-                .map(|(n, _)| (*n).to_string()),
+            coherence_geometries().iter().map(|(n, _)| (*n).to_string()),
         )
 }
 
 /// Runs the coherence grid through the harness's batched path: points
 /// grouped by engine (the shared trace + fabric content key), each
-/// group evaluated as one [`CoherenceSystem::run_batch_with`] lockstep
-/// pass over its geometry lanes through a single warm
-/// [`CoherenceScratch`]. Journaling, resume, caching and supervision
-/// all apply per *point* — a lane's record is indistinguishable from a
-/// scalar evaluation, so a resumed run re-batches only the missing
-/// lanes and the canonical artifact stays byte-identical to an
-/// uninterrupted (or scalar) run at any thread count.
-///
-/// [`CoherenceSystem`]: cryowire_coherence::CoherenceSystem
-/// [`CoherenceSystem::run_batch_with`]: cryowire_coherence::CoherenceSystem::run_batch_with
+/// group evaluated by one [`CoherenceSystem::run_batch_with`] call,
+/// which runs its geometry lanes one after another over a single warm
+/// [`CoherenceScratch`] and the system's directory path table.
+/// Journaling, resume, caching and supervision all apply per *point* —
+/// a lane's record is indistinguishable from a scalar evaluation, so a
+/// resumed run re-batches only the missing lanes and the canonical
+/// artifact stays byte-identical to an uninterrupted (or scalar) run at
+/// any thread count.
 #[must_use]
 pub fn coherence_sweep_artifact(accesses_per_core: usize, opts: SweepOptions<'_>) -> RunArtifact {
-    use super::bench_coherence as bc;
     let workload = Workload::parsec_by_name("streamcluster").expect("known workload");
-    let trace = cryowire_coherence::TraceGenConfig::from_workload(
-        &workload,
-        bc::CORES,
-        accesses_per_core,
-        0xC0_11E5,
-    )
-    .generate()
-    .expect("workload trace generates");
+    let trace = coherence_trace(&workload, accesses_per_core);
     opts.build(coherence_spec(), "coherence-grid/v1", 0)
         .run_batched(
             |point| point.str("engine").to_string(),
             |key, batch| {
-                let kind = bc::EngineKind::by_name(key);
-                let lanes: Vec<cryowire_coherence::CoherenceConfig> = batch
+                let kind = EngineKind::by_name(key);
+                let lanes: Vec<CoherenceConfig> = batch
                     .iter()
-                    .map(|(point, _)| {
-                        bc::lane_config(kind, bc::geometry_by_name(point.str("geometry")))
-                    })
+                    .map(|(point, _)| lane_config(kind, geometry_by_name(point.str("geometry"))))
                     .collect();
-                let (system, _) = bc::build_system(kind, lanes[0].geometry);
+                let (system, _) = build_system(kind, lanes[0].geometry);
                 let mut scratch = CoherenceScratch::new();
                 system
                     .run_batch_with(&trace, &lanes, None, &mut scratch)
                     .iter()
-                    .map(|r| bc::outcome_value(r.as_ref().expect("clean lane completes")))
+                    .map(|r| outcome_value(r.as_ref().expect("clean lane completes")))
                     .collect()
             },
         )

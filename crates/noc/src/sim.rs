@@ -991,8 +991,7 @@ impl Default for Simulator {
 pub mod reference {
     //! The naive per-packet-allocation engine, retained verbatim as the
     //! correctness oracle for the memoized hot loop (and as the baseline
-    //! the `noc_hot_loop` bench and `BENCH_noc.json` speedups are
-    //! measured against). Behind `feature = "reference-sim"` outside
+    //! the `bench-engines` NoC speedup is measured against). Behind `feature = "reference-sim"` outside
     //! tests so release binaries of downstream crates opt in explicitly.
     //!
     //! The only differences from the historical code are the two audited

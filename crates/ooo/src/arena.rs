@@ -3,7 +3,7 @@
 //! Trace generation is deterministic in `(TraceConfig, n, seed)`, and
 //! the experiment suite re-derives the *same* traces in many places
 //! (IPC validation, the core ablations, the CPI-stack figures, the
-//! bench-core grid). The [`TraceArena`] memoizes generation behind that
+//! `bench-engines` core grid). The [`TraceArena`] memoizes generation behind that
 //! content key, so each distinct trace is rolled exactly once per
 //! process and every consumer shares one immutable [`Arc<Trace>`] —
 //! which also keeps the per-scratch decoded-trace caches hot, because

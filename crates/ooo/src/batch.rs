@@ -11,8 +11,8 @@
 //! block's recurrence state held in locals so it stays in registers
 //! (see `step_block`). The decode record is loaded once and broadcast
 //! to the block, and the lanes' recurrences are mutually independent,
-//! so the host pipelines them — the wall-clock win `BENCH_batch.json`
-//! measures.
+//! so the host pipelines them — the wall-clock win the `bench-engines`
+//! batch domain measures.
 //!
 //! ## Layout
 //!

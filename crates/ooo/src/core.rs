@@ -348,7 +348,7 @@ impl CoreSimulator {
 /// The retained naive engine: full-trace scoreboards, one `Vec<u64>` per
 /// timestamp series, exactly as the simulator shipped before the
 /// ring-buffer rework. Compiled under `cfg(test)` or the
-/// `reference-sim` feature; the equivalence suite and the `bench-core`
+/// `reference-sim` feature; the equivalence suite and the `bench-engines`
 /// emitter assert the optimized engine reproduces it bit-for-bit.
 #[cfg(any(test, feature = "reference-sim"))]
 pub mod reference {

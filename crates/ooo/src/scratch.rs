@@ -18,7 +18,7 @@
 //! the hot loop actually iterates. Decoding is one cheap linear pass,
 //! keyed by a sampled content fingerprint, so sweeping many
 //! configurations over one trace — the design-space pattern
-//! `bench-core` measures — decodes once and re-runs from the cache.
+//! `bench-engines` measures — decodes once and re-runs from the cache.
 
 use crate::config::CoreConfig;
 use crate::predictor::{OverridingPredictor, PredictOutcome};

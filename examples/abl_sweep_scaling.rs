@@ -1,5 +1,9 @@
-//! Bench target measuring harness sweep scaling: the same SweepSpec run
-//! on 1 vs 2 vs 4 executor threads.
+//! Harness sweep scaling: the same SweepSpec run on 1 vs 2 vs 4
+//! executor threads.
+//!
+//! ```sh
+//! cargo run --release --example abl_sweep_scaling
+//! ```
 //!
 //! Two workloads:
 //! * `latency-bound`: every point blocks ~2 ms (stand-in for a
@@ -9,15 +13,15 @@
 //! * `depth-grid`: the real 64-point temperature × depth compute grid;
 //!   its scaling additionally depends on how many cores the host has.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cryowire::experiments::{self, SweepOptions};
-use cryowire_harness::{Sweep, SweepSpec};
+use cryowire_harness::{RunArtifact, Sweep, SweepSpec};
 use serde_json::Value;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn latency_bound_artifact(threads: usize) -> cryowire_harness::RunArtifact {
+fn latency_bound_artifact(threads: usize) -> RunArtifact {
     let spec = SweepSpec::new("latency-bound").axis("i", 0..16i64);
     Sweep::new(spec)
         .eval_tag("bench/latency-bound")
@@ -28,7 +32,7 @@ fn latency_bound_artifact(threads: usize) -> cryowire_harness::RunArtifact {
         })
 }
 
-fn depth_grid_artifact(threads: usize) -> cryowire_harness::RunArtifact {
+fn depth_grid_artifact(threads: usize) -> RunArtifact {
     experiments::depth_sweep_artifact(
         experiments::depth_grid_spec(&experiments::linspace_temperatures(16), 4),
         SweepOptions::threaded(threads),
@@ -49,11 +53,15 @@ fn time_of(mut f: impl FnMut()) -> Duration {
     samples[2]
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
+    println!(
+        "host parallelism: {}",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     for (name, run) in [
         (
             "latency-bound",
-            &latency_bound_artifact as &dyn Fn(usize) -> cryowire_harness::RunArtifact,
+            &latency_bound_artifact as &dyn Fn(usize) -> RunArtifact,
         ),
         ("depth-grid", &depth_grid_artifact),
     ] {
@@ -71,16 +79,4 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
-
-    let mut group = c.benchmark_group("abl_sweep_scaling");
-    group.sample_size(10);
-    for threads in THREAD_COUNTS {
-        group.bench_function(format!("depth_grid_{threads}_threads"), |b| {
-            b.iter(|| black_box(depth_grid_artifact(threads)))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -175,3 +175,108 @@ fn parallel_sweep_matches_serial() {
         assert_eq!(parallel, serial, "{pattern:?}");
     }
 }
+
+#[test]
+fn batched_coherence_sweep_matches_scalar_sweep() {
+    // The coherence grid's batched path (one `run_batch_with` call per
+    // engine, points grouped by the shared trace + fabric key) must
+    // produce the byte-identical canonical artifact of a scalar sweep
+    // running every point alone, at one worker and at several.
+    use cryowire::experiments::{EngineKind, SweepOptions};
+    use cryowire_coherence::CoherenceScratch;
+    use cryowire_harness::Sweep;
+
+    let accesses = experiments::COHERENCE_SWEEP_ACCESSES;
+    let workload = cryowire::system::Workload::parsec_by_name("streamcluster").unwrap();
+    let trace = experiments::coherence_trace(&workload, accesses);
+    let scalar = Sweep::new(experiments::coherence_spec())
+        .eval_tag("coherence-grid/v1")
+        .threads(1)
+        .run(|point, _| {
+            let kind = EngineKind::by_name(point.str("engine"));
+            let geometry = experiments::geometry_by_name(point.str("geometry"));
+            let (system, _) = experiments::build_system(kind, geometry);
+            let out = system
+                .run_with(&trace, None, &mut CoherenceScratch::new())
+                .expect("clean scalar run completes");
+            experiments::outcome_value(&out)
+        });
+    for threads in [1, 4] {
+        let batched =
+            experiments::coherence_sweep_artifact(accesses, SweepOptions::threaded(threads));
+        assert_eq!(
+            scalar.canonical_json(),
+            batched.canonical_json(),
+            "batched artifact diverged from scalar at {threads} thread(s)"
+        );
+    }
+}
+
+#[test]
+fn batched_core_sweep_matches_scalar_sweep() {
+    // A sweep over the ipc-validation grid evaluated through
+    // `Sweep::run_batched` — points grouped into one batch job by the
+    // content-keyed `TraceArena` element identity, run through the
+    // lockstep engine, and split back into per-point records — produces
+    // the byte-identical canonical artifact of the scalar `Sweep::run`,
+    // at one worker and at several.
+    use cryowire::ooo::{
+        run_batch_into, BatchScratch, CoreConfig, CoreMetrics, CoreSimulator, TraceArena,
+        TraceConfig,
+    };
+    use cryowire_harness::{Sweep, SweepSpec};
+    use serde_json::Value;
+
+    let (insts, seed) = (30_000, 7);
+    let grid = experiments::ipc_validation_grid();
+    let trace = TraceArena::global().get(&TraceConfig::parsec_like(), insts, seed);
+    // The batching key: the identity of the shared TraceArena element
+    // (generator config, length, seed) every point simulates.
+    let trace_key = format!("{:?}/{insts}/{seed}", TraceConfig::parsec_like());
+    let spec = || {
+        SweepSpec::new("batch-identity").axis("config", grid.iter().map(|(name, _)| name.clone()))
+    };
+    let config_of = |name: &str| -> CoreConfig {
+        grid.iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| *c)
+            .expect("axis values come from the grid")
+    };
+    let metrics_value = |m: &CoreMetrics| {
+        Value::Object(vec![
+            ("instructions".into(), Value::UInt(m.instructions)),
+            ("cycles".into(), Value::UInt(m.cycles)),
+            ("branches".into(), Value::UInt(m.branches)),
+            ("mispredicts".into(), Value::UInt(m.mispredicts)),
+            ("overrides".into(), Value::UInt(m.overrides)),
+        ])
+    };
+    let scalar = Sweep::new(spec())
+        .eval_tag("batch-identity/v1")
+        .threads(1)
+        .run(|point, _| {
+            metrics_value(&CoreSimulator::new(config_of(point.str("config"))).run(&trace))
+        });
+    for threads in [1, 4] {
+        let batched = Sweep::new(spec())
+            .eval_tag("batch-identity/v1")
+            .threads(threads)
+            .run_batched(
+                |_| trace_key.clone(),
+                |_, batch| {
+                    let configs: Vec<CoreConfig> = batch
+                        .iter()
+                        .map(|(point, _)| config_of(point.str("config")))
+                        .collect();
+                    let mut out = Vec::new();
+                    run_batch_into(&configs, &trace, &mut BatchScratch::new(), &mut out);
+                    out.iter().map(metrics_value).collect()
+                },
+            );
+        assert_eq!(
+            scalar.canonical_json(),
+            batched.canonical_json(),
+            "batched artifact diverged from scalar at {threads} thread(s)"
+        );
+    }
+}
