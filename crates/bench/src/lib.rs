@@ -2,13 +2,14 @@
 //! `BENCH_engines.json`.
 //!
 //! The emitter (`cryowire::experiments::bench_engines`) times every
-//! engine domain against its baseline in one process and reports, per
-//! domain, the wall-time-weighted speedup: total baseline wall time
-//! over total optimized wall time, each grid weighted by how long it
-//! actually takes, which is what a user sweeping the grids experiences.
-//! Being a ratio measured within one run it carries across machines of
-//! different absolute speed, so CI gates it against the committed
-//! document directly. This library holds that gate and depends on
+//! engine domain against its baseline in one process, several
+//! repetitions per grid, and reports per domain the [`median`] over
+//! repetitions of the wall-time-weighted speedup: total baseline wall
+//! time over total optimized wall time, each grid weighted by how long
+//! it actually takes, which is what a user sweeping the grids
+//! experiences. Being a ratio measured within one run it carries across
+//! machines of different absolute speed, so CI gates it against the
+//! committed document directly. This library holds that gate and depends on
 //! `serde_json` only, so the `cryowire` emitter and the sweep binary
 //! share it without a dependency cycle.
 
@@ -37,6 +38,24 @@ pub fn weighted_speedup(walls: impl IntoIterator<Item = (f64, f64)>) -> f64 {
     }
     assert!(n > 0, "speedup summary needs at least one point");
     baseline / f64::max(optimized, 1e-12)
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+///
+/// # Panics
+///
+/// Panics on no values.
+#[must_use]
+pub fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut xs: Vec<f64> = xs.into_iter().collect();
+    assert!(!xs.is_empty(), "median needs at least one value");
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
 }
 
 /// Reads and parses a committed bench document.
@@ -130,6 +149,19 @@ mod tests {
     #[should_panic(expected = "at least one point")]
     fn empty_stats_are_rejected() {
         let _ = weighted_speedup([]);
+    }
+
+    #[test]
+    fn median_takes_the_middle() {
+        assert_eq!(median([3.0, 9.0, 1.0]), 3.0);
+        assert_eq!(median([4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median([7.0]), 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one value")]
+    fn empty_median_is_rejected() {
+        let _ = median([]);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `bench-engines` core grid). The [`TraceArena`] memoizes generation behind that
 //! content key, so each distinct trace is rolled exactly once per
 //! process and every consumer shares one immutable [`Arc<Trace>`] —
-//! which also keeps the per-scratch decoded-trace caches hot, because
-//! repeated experiment runs see the same allocation.
+//! and with it the trace's decoded form, which the first simulation of
+//! the shared trace builds and every later one, on any thread, reuses.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

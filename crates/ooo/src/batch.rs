@@ -2,7 +2,7 @@
 //! one structure-of-arrays loop over a single shared trace.
 //!
 //! A design-space sweep replays the *same* trace under many
-//! configurations. The scalar engine pays the full decoded-trace stream
+//! configurations. The scalar engine streams the trace's decoded form
 //! (16 bytes per instruction) once per configuration, and its
 //! per-instruction recurrence is one long dependency chain the host
 //! cannot overlap. The batched engine inverts the loop nest: the outer
@@ -16,10 +16,11 @@
 //!
 //! ## Layout
 //!
-//! [`BatchScratch`] embeds a [`CoreScratch`] for the shared
-//! decoded-trace cache (one decode, one predictor replay, serving every
-//! lane) and holds lane-major slabs for the timestamp rings: each ring
-//! family (fused pipeline, complete, LQ/SQ commit) is one allocation of
+//! Every lane reads the trace's one decode (see the [`crate::trace`]
+//! module docs), built by whichever run reaches the trace first, so
+//! [`BatchScratch`] holds per-lane state only: the lane parameters and
+//! lane-major slabs for the timestamp rings. Each ring family (fused
+//! pipeline, complete, LQ/SQ commit) is one allocation of
 //! `lanes × capacity` slots, where the capacity is the *maximum* over
 //! the batch of the scalar engine's per-config ring size, rounded to a
 //! power of two. Grow-only reuse and the shared-capacity broadcast are
@@ -43,11 +44,8 @@
 use crate::config::CoreConfig;
 use crate::core::validate_config;
 use crate::metrics::CoreMetrics;
-use crate::scratch::{
-    CoreScratch, PipeSlot, FLAG_LOAD, FLAG_MISPREDICT, FLAG_OVERRIDE, FLAG_STORE, LANE_COMMIT,
-    LANE_FETCH, LANE_ISSUE, LANE_RENAME,
-};
-use crate::trace::Trace;
+use crate::scratch::{PipeSlot, LANE_COMMIT, LANE_FETCH, LANE_ISSUE, LANE_RENAME};
+use crate::trace::{Trace, FLAG_LOAD, FLAG_MISPREDICT, FLAG_OVERRIDE, FLAG_STORE};
 
 /// Lanes stepped per block of the element loop. The block's lane
 /// states live in locals across the whole loop, so the host keeps the
@@ -115,8 +113,8 @@ impl Lane {
     }
 }
 
-/// Reusable scratch state for batched lockstep runs: the shared decoded
-/// trace (via an embedded [`CoreScratch`]) plus lane-major ring slabs.
+/// Reusable scratch state for batched lockstep runs: per-lane state and
+/// lane-major ring slabs.
 ///
 /// One scratch serves any sequence of `(configs, trace)` batches;
 /// slabs grow to the largest `lanes × window` product seen and are then
@@ -124,8 +122,6 @@ impl Lane {
 /// `crates/ooo/tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Shared decode + predictor replay + branch totals.
-    base: CoreScratch,
     /// Per-lane parameters and recurrence state.
     lanes: Vec<Lane>,
     // -- Lane-major ring slabs: lane `l` owns `slab[l * cap..(l + 1) * cap]`.
@@ -381,7 +377,7 @@ pub fn run_batch_into(
     }
     let n = trace.len();
     let max_src = trace.max_src_distance() as usize;
-    scratch.base.decode(trace);
+    let decode = trace.decoded();
 
     // Shared slab capacities: the maximum over the batch of each scalar
     // ring requirement (`CoreScratch::size_rings` rules), one power-of-
@@ -427,17 +423,14 @@ pub fn run_batch_into(
         scratch.lanes.push(Lane::new(config, n));
     }
 
-    // Split-borrow the scratch so the shared decode streams immutably
-    // while the lane state and slabs mutate.
     let BatchScratch {
-        base,
         lanes,
         pipe,
         complete,
         load_ring,
         store_ring,
     } = scratch;
-    let decoded = &base.decoded[..n];
+    let decoded = &decode.insts[..n];
     let lanes = &mut lanes[..];
 
     // Lanes are stepped in blocks of up to `LANE_BLOCK`, each block
@@ -492,9 +485,9 @@ pub fn run_batch_into(
     out.extend(lanes.iter().map(|lane| CoreMetrics {
         instructions: n as u64,
         cycles: lane.prev_commit,
-        branches: base.trace_branches,
-        mispredicts: base.trace_mispredicts,
-        overrides: base.trace_overrides,
+        branches: decode.branches,
+        mispredicts: decode.mispredicts,
+        overrides: decode.overrides,
     }));
 }
 
@@ -502,6 +495,7 @@ pub fn run_batch_into(
 mod tests {
     use super::*;
     use crate::core::CoreSimulator;
+    use crate::scratch::CoreScratch;
     use crate::trace::TraceConfig;
 
     fn grid() -> Vec<CoreConfig> {

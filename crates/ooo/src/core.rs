@@ -20,10 +20,12 @@
 //!
 //! Timestamps live in window-bounded ring buffers inside a reusable
 //! [`CoreScratch`] (see the [`crate::scratch`] module docs), and the hot
-//! loop iterates the scratch's decoded structure-of-arrays form of the
-//! trace instead of the `Inst` enum — so `run_with_scratch` is
-//! constant-memory in the trace length and allocation-free in steady
-//! state. Every optimization preserves **bit-identical** `CoreMetrics`
+//! loop iterates the trace's decoded form (packed 16-byte records,
+//! built once per trace on its first run; see the [`crate::trace`]
+//! module docs) instead of the `Inst` enum — so `run_with_scratch`
+//! allocates nothing beyond the trace's one decode and the
+//! window-bounded rings, and nothing at all in steady state. Every
+//! optimization preserves **bit-identical** `CoreMetrics`
 //! (including the predictor train order) with the retained naive engine
 //! in [`reference`](mod@reference), which the equivalence suite pins across
 //! seeds × traces × configs.
@@ -31,11 +33,8 @@
 use crate::cache::{AddressModel, CacheHierarchy};
 use crate::config::CoreConfig;
 use crate::metrics::CoreMetrics;
-use crate::scratch::{
-    CoreScratch, FLAG_LOAD, FLAG_MISPREDICT, FLAG_OVERRIDE, FLAG_STORE, LANE_COMMIT, LANE_FETCH,
-    LANE_ISSUE, LANE_RENAME,
-};
-use crate::trace::Trace;
+use crate::scratch::{CoreScratch, LANE_COMMIT, LANE_FETCH, LANE_ISSUE, LANE_RENAME};
+use crate::trace::{Trace, FLAG_LOAD, FLAG_MISPREDICT, FLAG_OVERRIDE, FLAG_STORE};
 
 /// The core simulator.
 #[derive(Debug, Clone)]
@@ -82,8 +81,8 @@ impl CoreSimulator {
         self.run_with_scratch(trace, &mut CoreScratch::new())
     }
 
-    /// Runs the trace with pre-rolled load latencies, reusing `scratch`
-    /// (ring buffers + decoded trace) so repeated runs perform zero
+    /// Runs the trace with pre-rolled load latencies, reusing
+    /// `scratch`'s ring buffers so repeated runs perform zero
     /// steady-state heap allocations.
     #[must_use]
     pub fn run_with_scratch(&self, trace: &Trace, scratch: &mut CoreScratch) -> CoreMetrics {
@@ -129,8 +128,8 @@ impl CoreSimulator {
     }
 
     /// [`CoreSimulator::cpi_stack`] reusing one scratch across the four
-    /// idealized runs (the trace is decoded once; the rings serve all
-    /// four window shapes).
+    /// idealized runs (the rings serve all four window shapes; the four
+    /// runs read the trace's one decode).
     #[must_use]
     pub fn cpi_stack_with_scratch(&self, trace: &Trace, scratch: &mut CoreScratch) -> [u64; 4] {
         let real = self.run_with_scratch(trace, scratch).cycles;
@@ -180,7 +179,7 @@ impl CoreSimulator {
     ) -> CoreMetrics {
         let c = self.config;
         let n = trace.len();
-        scratch.decode(trace);
+        let decode = trace.decoded();
         scratch.size_rings(&c, n, trace.max_src_distance() as usize);
 
         // Ring slices and their index masks. Capacities are powers of
@@ -200,7 +199,7 @@ impl CoreSimulator {
         let (store_ring, store_mask) = ring(&mut scratch.store_ring);
 
         // Decoded trace (one packed record per instruction).
-        let decoded = &scratch.decoded[..n];
+        let decoded = &decode.insts[..n];
 
         // The loop body below is **branch-free** apart from the memory
         // model's per-load callout: every structural constraint reads
@@ -338,9 +337,9 @@ impl CoreSimulator {
         CoreMetrics {
             instructions: n as u64,
             cycles: prev_commit,
-            branches: scratch.trace_branches,
-            mispredicts: scratch.trace_mispredicts,
-            overrides: scratch.trace_overrides,
+            branches: decode.branches,
+            mispredicts: decode.mispredicts,
+            overrides: decode.overrides,
         }
     }
 }

@@ -48,11 +48,6 @@ impl Btb {
         let idx = self.index(pc);
         self.entries[idx] = Some((pc, taken));
     }
-
-    /// Restores the untrained state in place (no reallocation).
-    pub fn reset(&mut self) {
-        self.entries.fill(None);
-    }
 }
 
 /// GShare-family history predictor: 2-bit saturating counters indexed by
@@ -111,12 +106,6 @@ impl GShare {
         }
         self.history = (self.history << 1) | u64::from(taken);
     }
-
-    /// Restores the untrained state in place (no reallocation).
-    pub fn reset(&mut self) {
-        self.counters.fill(2); // weakly taken
-        self.history = 0;
-    }
 }
 
 /// What the overriding frontend did for one branch.
@@ -137,12 +126,6 @@ pub struct OverridingPredictor {
     gshare: GShare,
 }
 
-impl Default for OverridingPredictor {
-    fn default() -> Self {
-        OverridingPredictor::boom_like()
-    }
-}
-
 impl OverridingPredictor {
     /// The BOOM-like configuration used throughout (512-entry BTB,
     /// 4K-counter GShare over 4 bits of global history — enough context
@@ -154,14 +137,6 @@ impl OverridingPredictor {
             btb: Btb::new(512),
             gshare: GShare::new(12, 4),
         }
-    }
-
-    /// Restores the untrained [`OverridingPredictor::boom_like`] state
-    /// in place — no reallocation, so a scratch-held predictor keeps the
-    /// hot loop allocation-free while every run still starts cold.
-    pub fn reset(&mut self) {
-        self.btb.reset();
-        self.gshare.reset();
     }
 
     /// Runs one branch through the overriding structure and trains both

@@ -12,9 +12,21 @@
 //! [`TraceError`] otherwise), so the simulation engines can index
 //! producers without per-instruction bounds logic — a malformed trace is
 //! a structured error at the boundary, never a panic in the hot loop.
+//!
+//! A trace also owns its **decoded form**: one packed 16-byte record per
+//! instruction (flags with the predictor outcome baked in, pre-resolved
+//! execute latency, both dependency distances), the form the scalar and
+//! batched hot loops iterate. It is built on the first simulation, not
+//! at construction (generation stays as cheap as it was), and then
+//! shared by every run, scratch and thread that simulates the trace, so
+//! a sweep of many configurations over one trace decodes it once.
+
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::predictor::{OverridingPredictor, PredictOutcome};
 
 /// Instruction class with its execution latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,8 +89,91 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// Decoded-instruction flag bits.
+pub(crate) const FLAG_LOAD: u32 = 1;
+pub(crate) const FLAG_STORE: u32 = 2;
+pub(crate) const FLAG_BRANCH: u32 = 4;
+/// The overriding predictor's outcome for this branch, resolved at
+/// decode time: the predictor train sequence is a pure function of the
+/// branch stream (PCs and outcomes in program order), independent of
+/// the core configuration, so one decode serves every config run over
+/// the trace — the hot loop never touches the predictor tables.
+pub(crate) const FLAG_OVERRIDE: u32 = 16;
+pub(crate) const FLAG_MISPREDICT: u32 = 32;
+
+/// One decoded instruction: `[flags, execute latency, src1 distance,
+/// src2 distance]`. A single 16-byte record keeps the hot loop's
+/// per-instruction decode traffic to one pointer and one cache line
+/// instead of four parallel arrays.
+pub(crate) type DecodedInst = [u32; 4];
+
+/// A trace in the form the hot loops iterate, plus the branch totals of
+/// the predictor replay that produced it.
+#[derive(Debug, Clone)]
+pub(crate) struct Decoded {
+    pub(crate) insts: Vec<DecodedInst>,
+    pub(crate) branches: u64,
+    pub(crate) mispredicts: u64,
+    pub(crate) overrides: u64,
+}
+
+impl Decoded {
+    /// Decodes `insts`, replaying the overriding predictor over the
+    /// branch stream and baking each branch's [`PredictOutcome`] into
+    /// its flags: the predictor trains on (PC, outcome) in program order
+    /// only, so the outcome sequence — and therefore the
+    /// branch/override/mispredict totals — is identical for every
+    /// configuration run over the trace.
+    fn new(insts: &[Inst]) -> Self {
+        let mut predictor = OverridingPredictor::boom_like();
+        let mut decoded = Decoded {
+            insts: Vec::with_capacity(insts.len()),
+            branches: 0,
+            mispredicts: 0,
+            overrides: 0,
+        };
+        for inst in insts {
+            let (flag, latency) = match inst.kind {
+                InstKind::Alu => (0, 1),
+                InstKind::Mul => (0, 3),
+                // Pre-clamped hit/miss latency; the engine substitutes
+                // the memory model's (clamped) answer when one exists.
+                InstKind::Load { latency } => (FLAG_LOAD, latency.max(1)),
+                InstKind::Store => (FLAG_STORE, 1),
+                InstKind::Branch { taken } => {
+                    decoded.branches += 1;
+                    let outcome = match predictor.predict_and_train(inst.pc, taken) {
+                        PredictOutcome::Correct => 0,
+                        PredictOutcome::Overridden => {
+                            decoded.overrides += 1;
+                            FLAG_OVERRIDE
+                        }
+                        PredictOutcome::Mispredicted => {
+                            decoded.mispredicts += 1;
+                            FLAG_MISPREDICT
+                        }
+                    };
+                    (FLAG_BRANCH | outcome, 1)
+                }
+            };
+            // Distance 0 never occurs in a validated trace, so it is
+            // free to mean "operand ready".
+            decoded.insts.push([
+                flag,
+                latency,
+                inst.srcs[0].unwrap_or(0),
+                inst.srcs[1].unwrap_or(0),
+            ]);
+        }
+        decoded
+    }
+}
+
 /// A generated instruction stream, validated at construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality, hashing and `Debug` see the instructions only, never
+/// whether the decoded form has been built yet.
+#[derive(Clone)]
 pub struct Trace {
     /// The instructions, in program order. Private so the construction
     /// invariant (no dangling dependencies) cannot be broken after
@@ -87,6 +182,33 @@ pub struct Trace {
     /// Largest source-operand distance in the trace — the dependency
     /// window the simulation engines must keep live.
     max_src: u32,
+    /// The decoded form, built on first use. Private, like `insts`, so
+    /// it cannot fall out of step with the instructions it decodes.
+    decoded: OnceLock<Decoded>,
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.insts == other.insts && self.max_src == other.max_src
+    }
+}
+
+impl Eq for Trace {}
+
+impl std::hash::Hash for Trace {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.insts.hash(state);
+        self.max_src.hash(state);
+    }
+}
+
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trace")
+            .field("insts", &self.insts)
+            .field("max_src", &self.max_src)
+            .finish()
+    }
 }
 
 impl Trace {
@@ -110,7 +232,11 @@ impl Trace {
                 max_src = max_src.max(src);
             }
         }
-        Ok(Trace { insts, max_src })
+        Ok(Trace {
+            insts,
+            max_src,
+            decoded: OnceLock::new(),
+        })
     }
 
     /// The instructions, in program order.
@@ -148,6 +274,12 @@ impl Trace {
             .filter(|i| matches!(i.kind, InstKind::Branch { .. }))
             .count();
         b as f64 / self.len().max(1) as f64
+    }
+
+    /// The decoded form, built by the first caller (concurrent first
+    /// callers wait for that one decode) and shared by every later one.
+    pub(crate) fn decoded(&self) -> &Decoded {
+        self.decoded.get_or_init(|| Decoded::new(&self.insts))
     }
 }
 
@@ -330,6 +462,7 @@ impl TraceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn mix_matches_config() {
@@ -430,6 +563,60 @@ mod tests {
         let mut tweaked = TraceConfig::parsec_like();
         tweaked.load_miss_rate += 1e-9;
         assert_ne!(a, tweaked.content_key());
+    }
+
+    #[test]
+    fn decode_is_cached_by_content() {
+        let t = TraceConfig::parsec_like().generate(2_000, 1);
+        // Generation does not decode: the first simulation does.
+        assert!(t.decoded.get().is_none(), "decoded at construction");
+        let d = t.decoded();
+        assert!(d.branches > 100, "parsec-like traces are branchy");
+        assert_eq!(d.insts.len(), 2_000);
+        // Asking again returns the same decode.
+        assert!(std::ptr::eq(t.decoded(), d));
+        // An equal trace decodes to equal records, and equality and
+        // hashing ignore whether either side has decoded yet.
+        let twin = Trace::new(t.insts().to_vec()).expect("generated traces validate");
+        assert_eq!(twin, t);
+        let state = std::hash::RandomState::new();
+        assert_eq!(state.hash_one(&twin), state.hash_one(&t));
+        assert_eq!(format!("{twin:?}"), format!("{t:?}"));
+        assert_eq!(twin.decoded().insts, d.insts);
+        // A different trace decodes to its own records.
+        let t2 = TraceConfig::parsec_like().generate(2_000, 2);
+        let d2 = t2.decoded();
+        assert_ne!((d2.branches, d2.mispredicts), (d.branches, d.mispredicts));
+        assert_eq!(d2.insts.len(), 2_000);
+    }
+
+    #[test]
+    fn decode_replays_the_predictor_once_per_trace() {
+        use crate::predictor::{OverridingPredictor, PredictOutcome};
+        let t = TraceConfig::parsec_like().generate(5_000, 3);
+        let d = t.decoded();
+        // Replaying by hand must agree with the baked-in flags.
+        let mut predictor = OverridingPredictor::boom_like();
+        let mut mispredicts = 0u64;
+        let mut overrides = 0u64;
+        for (i, inst) in t.insts().iter().enumerate() {
+            if let InstKind::Branch { taken } = inst.kind {
+                let expect = match predictor.predict_and_train(inst.pc, taken) {
+                    PredictOutcome::Correct => 0,
+                    PredictOutcome::Overridden => {
+                        overrides += 1;
+                        FLAG_OVERRIDE
+                    }
+                    PredictOutcome::Mispredicted => {
+                        mispredicts += 1;
+                        FLAG_MISPREDICT
+                    }
+                };
+                assert_eq!(d.insts[i][0] & (FLAG_OVERRIDE | FLAG_MISPREDICT), expect);
+            }
+        }
+        assert_eq!(d.mispredicts, mispredicts);
+        assert_eq!(d.overrides, overrides);
     }
 
     #[test]
