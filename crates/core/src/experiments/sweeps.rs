@@ -28,6 +28,7 @@ use cryowire_pipeline::{sweep_depths, CriticalPathModel, DepthPoint};
 use cryowire_system::{EventSimConfig, EventSimulator, SystemDesign, Workload};
 use serde_json::Value;
 use std::path::Path;
+use std::sync::LazyLock;
 
 use super::noc_figs;
 use super::temperature::{fig27_point, FIG27_TEMPERATURES};
@@ -222,9 +223,15 @@ fn depth_point_from(v: &Value) -> DepthPoint {
     }
 }
 
+/// The paper's critical-path model, built once per process: every depth
+/// point reads it, and building it evaluates the 300 K device terms.
+static DEPTH_MODEL: LazyLock<CriticalPathModel> = LazyLock::new(CriticalPathModel::boom_skylake);
+
 /// The per-point evaluator of the depth grid: the [`DepthPoint`] at
 /// (`temperature_k`, `max_split`), matching `sweep_depths`'s entry for
-/// that split exactly.
+/// that split exactly. Every point reads one shared
+/// [`CriticalPathModel::boom_skylake`], so a point evaluates the device
+/// models only at its own temperature.
 ///
 /// # Panics
 ///
@@ -233,8 +240,7 @@ fn depth_point_from(v: &Value) -> DepthPoint {
 pub fn depth_grid_eval(point: &Point) -> Value {
     let t = Temperature::new(point.f64("temperature_k")).expect("valid sweep temperature");
     let split = usize::try_from(point.i64("max_split")).expect("positive split");
-    let model = CriticalPathModel::boom_skylake();
-    let pt = sweep_depths(&model, t, split)
+    let pt = sweep_depths(&DEPTH_MODEL, t, split)
         .pop()
         .expect("non-empty depth sweep");
     depth_point_value(&pt)

@@ -30,6 +30,9 @@ pub struct ResistivityModel {
     rho_residual: f64,
     /// Debye temperature, K.
     debye_k: f64,
+    /// The Bloch–Grüneisen integral at 300 K: the phonon term's
+    /// normalizer, fixed by `debye_k`.
+    bg_300: f64,
     /// Per-class size/grain scattering floors, µΩ·cm,
     /// indexed by [`WireClass`] discriminant order (local, semi-global, global).
     rho_size: [f64; 3],
@@ -45,6 +48,7 @@ impl ResistivityModel {
             rho_phonon_300: calib::RHO_PHONON_300K,
             rho_residual: calib::RHO_RESIDUAL_BULK,
             debye_k: calib::COPPER_DEBYE_K,
+            bg_300: bloch_gruneisen(300.0, calib::COPPER_DEBYE_K),
             rho_size: [
                 calib::RHO_SIZE_LOCAL,
                 calib::RHO_SIZE_SEMI_GLOBAL,
@@ -64,11 +68,12 @@ impl ResistivityModel {
     /// Phonon-limited resistivity at temperature `t`, µΩ·cm.
     ///
     /// Uses the Bloch–Grüneisen form with n = 5, normalized so the 300 K
-    /// value equals the calibrated `rho_phonon_300`.
+    /// value equals the calibrated `rho_phonon_300`. The 300 K integral
+    /// is computed once, when the model is built, so a call evaluates
+    /// one integral, at `t`.
     #[must_use]
     pub fn phonon_resistivity(&self, t: Temperature) -> f64 {
-        let g300 = bloch_gruneisen(300.0, self.debye_k);
-        self.rho_phonon_300 * bloch_gruneisen(t.kelvin(), self.debye_k) / g300
+        self.rho_phonon_300 * bloch_gruneisen(t.kelvin(), self.debye_k) / self.bg_300
     }
 
     /// Total effective resistivity of `class` wires at temperature `t`,
@@ -95,19 +100,27 @@ impl Default for ResistivityModel {
 /// Reduced Bloch–Grüneisen phonon-resistivity integral (n = 5),
 /// ρ ∝ (T/Θ)^5 ∫₀^{Θ/T} x⁵ / ((eˣ−1)(1−e⁻ˣ)) dx,
 /// evaluated by composite Simpson quadrature.
+///
+/// The powers are the multiplication chains the runtime `powi` lowering
+/// computes (square-and-multiply), written out so that a call on
+/// constant arguments folds to the same bits: LLVM folds a constant
+/// `powi` through the host's `pow`, which can round differently.
 fn bloch_gruneisen(t_kelvin: f64, debye_k: f64) -> f64 {
     let z = debye_k / t_kelvin;
     let integral = simpson(bg_integrand, 0.0, z, 400);
-    (t_kelvin / debye_k).powi(5) * integral
+    let r = t_kelvin / debye_k;
+    let r2 = r * r;
+    r * (r2 * r2) * integral
 }
 
 fn bg_integrand(x: f64) -> f64 {
     if x < 1e-9 {
         // x^5 / ((e^x - 1)(1 - e^-x)) → x^3 as x → 0
-        return x.powi(3);
+        return x * (x * x);
     }
     let ex = x.exp();
-    x.powi(5) / ((ex - 1.0) * (1.0 - 1.0 / ex))
+    let x2 = x * x;
+    x * (x2 * x2) / ((ex - 1.0) * (1.0 - 1.0 / ex))
 }
 
 fn simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {

@@ -61,6 +61,9 @@ pub struct CriticalPathModel {
     mosfet: MosfetModel,
     rho: ResistivityModel,
     floorplan: Floorplan,
+    /// Unrepeated delay of the floorplan's forwarding wire at 300 K, ps:
+    /// the reference [`CriticalPathModel::wire_factor`] divides by.
+    wire_300_ps: f64,
 }
 
 impl CriticalPathModel {
@@ -68,11 +71,17 @@ impl CriticalPathModel {
     /// device models, Skylake-like floorplan with 8 forwarding-column ALUs.
     #[must_use]
     pub fn boom_skylake() -> Self {
+        let mosfet = MosfetModel::industry_45nm();
+        let rho = ResistivityModel::intel_45nm();
+        let floorplan = Floorplan::skylake_like();
+        let wire_300_ps =
+            forwarding_wire_delay_ps(&floorplan, &mosfet, &rho, Temperature::ambient());
         CriticalPathModel {
             stages: boom_baseline_stages(),
-            mosfet: MosfetModel::industry_45nm(),
-            rho: ResistivityModel::intel_45nm(),
-            floorplan: Floorplan::skylake_like(),
+            mosfet,
+            rho,
+            floorplan,
+            wire_300_ps,
         }
     }
 
@@ -83,9 +92,14 @@ impl CriticalPathModel {
         self
     }
 
-    /// Replaces the floorplan (e.g. a 4-ALU CryoCore-width backend).
+    /// Replaces the floorplan (e.g. a 4-ALU CryoCore-width backend) and
+    /// recomputes the 300 K delay of its forwarding wire, so
+    /// [`CriticalPathModel::wire_factor`] stays relative to this
+    /// floorplan's own wire.
     #[must_use]
     pub fn with_floorplan(mut self, floorplan: Floorplan) -> Self {
+        self.wire_300_ps =
+            forwarding_wire_delay_ps(&floorplan, &self.mosfet, &self.rho, Temperature::ambient());
         self.floorplan = floorplan;
         self
     }
@@ -113,15 +127,11 @@ impl CriticalPathModel {
 
     /// Wire-delay factor at `t` relative to 300 K, computed from the
     /// floorplan's forwarding wire (< 1 when cold; ≈ 1/2.81 at 77 K).
+    /// The 300 K delay is fixed when the floorplan is, so a call
+    /// evaluates one wire delay, at `t`.
     #[must_use]
     pub fn wire_factor(&self, t: Temperature) -> f64 {
-        let wire = Wire::new(
-            WireClass::SemiGlobal,
-            self.floorplan.forwarding_wire_length_um(),
-        );
-        let d300 = wire.unrepeated_delay_ps(&self.mosfet, &self.rho, Temperature::ambient());
-        let dt = wire.unrepeated_delay_ps(&self.mosfet, &self.rho, t);
-        dt / d300
+        forwarding_wire_delay_ps(&self.floorplan, &self.mosfet, &self.rho, t) / self.wire_300_ps
     }
 
     /// Per-stage delays at `t`, nominal (uncompensated) voltages.
@@ -144,10 +154,7 @@ impl CriticalPathModel {
     /// Maximum stage delay at `t`, ps — the clock-period bound.
     #[must_use]
     pub fn max_delay_ps(&self, t: Temperature) -> f64 {
-        self.stage_delays(t)
-            .iter()
-            .map(StageDelayReport::total_ps)
-            .fold(0.0, f64::max)
+        max_total_ps(&self.stage_delays(t))
     }
 
     /// The stage bounding the clock at `t`.
@@ -191,6 +198,27 @@ impl Default for CriticalPathModel {
     fn default() -> Self {
         CriticalPathModel::boom_skylake()
     }
+}
+
+/// Unrepeated delay at `t` of `floorplan`'s semi-global forwarding wire,
+/// ps.
+fn forwarding_wire_delay_ps(
+    floorplan: &Floorplan,
+    mosfet: &MosfetModel,
+    rho: &ResistivityModel,
+    t: Temperature,
+) -> f64 {
+    Wire::new(WireClass::SemiGlobal, floorplan.forwarding_wire_length_um())
+        .unrepeated_delay_ps(mosfet, rho, t)
+}
+
+/// The largest total delay among `delays`, ps (0 for none): the
+/// clock-period bound of a stage table.
+pub(crate) fn max_total_ps<'a>(delays: impl IntoIterator<Item = &'a StageDelayReport>) -> f64 {
+    delays
+        .into_iter()
+        .map(StageDelayReport::total_ps)
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -275,6 +303,16 @@ mod tests {
             let d = m.max_delay_ps(Temperature::new(k).unwrap());
             assert!(d < last);
             last = d;
+        }
+    }
+
+    #[test]
+    fn with_floorplan_rebases_the_wire_factor_on_its_own_wire() {
+        // `abl-alu` widens and narrows the forwarding column; each
+        // floorplan's wire is its own 300 K reference.
+        for alus in 1..=8 {
+            let m = model().with_floorplan(Floorplan::with_alu_count(alus));
+            assert_eq!(m.wire_factor(Temperature::ambient()), 1.0, "{alus} ALUs");
         }
     }
 

@@ -10,7 +10,7 @@
 
 use cryowire_device::Temperature;
 
-use crate::critical_path::CriticalPathModel;
+use crate::critical_path::{max_total_ps, CriticalPathModel};
 use crate::ipc::IpcModel;
 use crate::stages::StageKind;
 use crate::superpipeline::FLIP_FLOP_OVERHEAD_PS;
@@ -32,6 +32,11 @@ pub struct DepthPoint {
 }
 
 /// Searches split factors 1..=`max_split` at temperature `t`.
+///
+/// The stage delays at `t` are evaluated once; the unsplit clock comes
+/// from them through the same max over stages as
+/// [`CriticalPathModel::max_delay_ps`], so it equals
+/// [`CriticalPathModel::frequency_ghz`] bit for bit.
 #[must_use]
 pub fn sweep_depths(
     model: &CriticalPathModel,
@@ -42,14 +47,10 @@ pub fn sweep_depths(
     let tf = model.transistor_factor(t);
     let ff = FLIP_FLOP_OVERHEAD_PS * tf;
     let delays = model.stage_delays(t);
-    let base_freq = model.frequency_ghz(t);
+    let base_freq = 1_000.0 / max_total_ps(&delays);
 
     // Target latency: the longest un-pipelinable stage.
-    let target = delays
-        .iter()
-        .filter(|d| !d.pipelinable)
-        .map(|d| d.total_ps())
-        .fold(0.0, f64::max);
+    let target = max_total_ps(delays.iter().filter(|d| !d.pipelinable));
 
     (1..=max_split.max(1))
         .map(|split| {

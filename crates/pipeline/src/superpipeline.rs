@@ -13,7 +13,7 @@
 
 use cryowire_device::Temperature;
 
-use crate::critical_path::{CriticalPathModel, StageDelayReport};
+use crate::critical_path::{max_total_ps, CriticalPathModel, StageDelayReport};
 use crate::ipc::IpcModel;
 use crate::stages::{Stage, StageKind};
 
@@ -78,12 +78,7 @@ impl Superpipeliner {
     /// The target latency at `t`: the longest un-pipelinable backend stage.
     #[must_use]
     pub fn target_latency_ps(&self, t: Temperature) -> f64 {
-        self.model
-            .stage_delays(t)
-            .iter()
-            .filter(|s| !s.pipelinable)
-            .map(StageDelayReport::total_ps)
-            .fold(0.0, f64::max)
+        max_total_ps(self.model.stage_delays(t).iter().filter(|s| !s.pipelinable))
     }
 
     /// Runs the superpipelining methodology at temperature `t`.
