@@ -17,8 +17,8 @@
 //!   (`cryowire_noc::sim::reference`), per (network, rate) of the
 //!   Fig. 21 uniform-random grid, over its full 30 000-cycle window in
 //!   both modes.
-//! * `core`: the ring-buffer core engine on one warm [`CoreScratch`]
-//!   against the frozen full-trace engine
+//! * `core`: the core engine, one width-1 run per point on one warm
+//!   [`CoreScratch`], against the frozen full-trace engine
 //!   (`cryowire_ooo::core::reference`), per point of a frontend-depth ×
 //!   width × bypass design grid (the CryoSP exploration of Table 3).
 //! * `coherence`: [`CoherenceSystem::run_batch_with`] over the four
@@ -28,10 +28,11 @@
 //!   lane; lane 0's commit log also replays through the hop-count
 //!   reference engines.
 //! * `batch`: [`run_batch_into`] over a whole config grid against one
-//!   scalar run per config with a fresh [`CoreScratch`] each, the
+//!   width-1 run per config with a fresh [`CoreScratch`] each, the
 //!   per-point cost the harness pays (a scratch cannot cross worker
-//!   threads). Both sides read the trace's one decode, built by an
-//!   untimed run before the first repetition.
+//!   threads). Both sides are the same lockstep engine and read the
+//!   trace's one decode, built by an untimed run before the first
+//!   repetition, so the figure is what stepping lanes in blocks buys.
 //!
 //! Two claims gate whatever the baseline: batched grids beat per-point
 //! scalar runs, and barrier-heavy sharing is cheaper on CryoBus
@@ -57,7 +58,7 @@ use cryowire_noc::{
 };
 use cryowire_ooo::core::reference::ReferenceCoreSimulator;
 use cryowire_ooo::{
-    run_batch_into, BatchScratch, CoreConfig, CoreScratch, CoreSimulator, TraceArena, TraceConfig,
+    run_batch_into, CoreConfig, CoreScratch, CoreSimulator, TraceArena, TraceConfig,
 };
 use cryowire_system::Workload;
 use serde_json::Value;
@@ -592,7 +593,7 @@ fn batch_row(name: &str, grid: &[(String, CoreConfig)], insts: usize) -> BenchRo
     let (walls, (batched, scalar)) = time_pair(
         || {
             let mut out = Vec::new();
-            run_batch_into(&configs, &trace, &mut BatchScratch::new(), &mut out);
+            run_batch_into(&configs, &trace, &mut CoreScratch::new(), &mut out);
             out
         },
         || {

@@ -8,8 +8,7 @@
 //! `cryowire-ooo` (which *simulates* the structures and the predictor).
 //! This experiment runs both and reports the agreement.
 
-use cryowire_harness::Executor;
-use cryowire_ooo::{CoreConfig, CoreSimulator, TraceArena, TraceConfig};
+use cryowire_ooo::{run_batch_with_scratch, CoreConfig, CoreScratch, TraceArena, TraceConfig};
 use cryowire_pipeline::IpcModel;
 
 use crate::report::{fmt3, Report};
@@ -78,20 +77,14 @@ pub fn ipc_validation_grid() -> Vec<(String, CoreConfig)> {
 
 /// Runs the cross-validation on a PARSEC-like trace.
 ///
-/// The five configurations are independent simulations of one shared
-/// arena trace, so they fan out through the harness executor; the
-/// executor preserves item order and each run is a pure function, which
-/// keeps the result identical at any worker count.
+/// The five configurations run as one lockstep batch over the shared
+/// arena trace, on the calling thread.
 #[must_use]
 pub fn ipc_cross_validation() -> IpcValidation {
     let trace = shared_parsec_trace();
     let configs: Vec<CoreConfig> = ipc_validation_grid().into_iter().map(|(_, c)| c).collect();
-    let ipcs = Executor::new(configs.len()).run(&configs, |_, cfg| {
-        CoreSimulator::new(*cfg).run(&trace).ipc()
-    });
-    let [base, deep, narrow, cryosp, piped_backend] = ipcs[..] else {
-        unreachable!("executor returns one result per config");
-    };
+    let lanes = run_batch_with_scratch(&configs, &trace, &mut CoreScratch::new());
+    let [base, deep, narrow, cryosp, piped_backend] = [0, 1, 2, 3, 4].map(|k| lanes[k].ipc());
 
     let analytic = IpcModel::parsec_calibrated();
     let rows = vec![

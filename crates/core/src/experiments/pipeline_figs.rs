@@ -417,9 +417,9 @@ impl CpiStackSim {
 /// Decomposes each core design's cycles into stall sources with
 /// [`cryowire_ooo::CoreSimulator::cpi_stack`] on the shared arena trace.
 ///
-/// Each configuration is an independent four-run decomposition of the
-/// same trace, fanned out through the harness executor; one scratch per
-/// worker serves all four idealized runs of its configuration.
+/// Each configuration is an independent decomposition of the same
+/// trace (a real run and a 3-lane batch of idealized runs), fanned out
+/// through the harness executor; one scratch per worker serves both.
 #[must_use]
 pub fn cpi_stack_cycle_level() -> CpiStackSim {
     use cryowire_harness::Executor;

@@ -1,73 +1,82 @@
-//! Batched lockstep execution: N core configurations stepped through
-//! one structure-of-arrays loop over a single shared trace.
+//! The lockstep engine behind every core simulation: N core
+//! configurations ("lanes") stepped through one structure-of-arrays
+//! loop over a single shared trace. A scalar run is a batch of width 1,
+//! and a CPI stack is one width-1 run plus one 3-lane batch of its
+//! idealized configurations.
 //!
 //! A design-space sweep replays the *same* trace under many
-//! configurations. The scalar engine streams the trace's decoded form
-//! (16 bytes per instruction) once per configuration, and its
-//! per-instruction recurrence is one long dependency chain the host
-//! cannot overlap. The batched engine inverts the loop nest: the outer
-//! loop walks trace elements, the inner loop steps a block of up to
-//! `LANE_BLOCK` configurations ("lanes") for that element, with the
-//! block's recurrence state held in locals so it stays in registers
-//! (see `step_block`). The decode record is loaded once and broadcast
-//! to the block, and the lanes' recurrences are mutually independent,
-//! so the host pipelines them — the wall-clock win the `bench-engines`
-//! batch domain measures.
+//! configurations. One lane's per-instruction recurrence is one long
+//! dependency chain the host cannot overlap, and it streams the trace's
+//! decoded form (16 bytes per instruction) once per configuration. The
+//! engine inverts the loop nest: the outer loop walks trace elements,
+//! the inner loop steps a block of up to `LANE_BLOCK` lanes for that
+//! element, with the block's recurrence state held in locals so it
+//! stays in registers (see `step_block`). The decode record is loaded
+//! once and broadcast to the block, and the lanes' recurrences are
+//! mutually independent, so the host pipelines them — the wall-clock
+//! win the `bench-engines` batch domain measures.
 //!
 //! ## Layout
 //!
 //! Every lane reads the trace's one decode (see the [`crate::trace`]
 //! module docs), built by whichever run reaches the trace first, so
-//! [`BatchScratch`] holds per-lane state only: the lane parameters and
+//! [`CoreScratch`] holds per-lane state only: the lane parameters and
 //! lane-major slabs for the timestamp rings. Each ring family (fused
 //! pipeline, complete, LQ/SQ commit) is one allocation of
 //! `lanes × capacity` slots, where the capacity is the *maximum* over
-//! the batch of the scalar engine's per-config ring size, rounded to a
-//! power of two. Grow-only reuse and the shared-capacity broadcast are
-//! both sound for the same reason the scalar rings are: every value a
-//! lane reads is either a same-run write of that lane at an exact
-//! lookback distance (which a larger ring preserves — the mask simply
-//! spans more slots), or a stale slot discarded by a branchless gate.
+//! the batch of each configuration's ring size, rounded to a power of
+//! two (see the [`crate::scratch`] module docs). Grow-only reuse and the
+//! shared-capacity broadcast are both sound for the same reason: every
+//! value a lane reads is either a same-run write of that lane at an
+//! exact lookback distance (which a larger ring preserves — the mask
+//! simply spans more slots), or a stale slot discarded by a branchless
+//! gate.
+//!
+//! ## Load latencies
+//!
+//! The loop takes one load-latency source. It is consulted once per
+//! load, in program order, outside the lane loop, and its answer,
+//! clamped to at least 1, applies to every lane; no answer keeps the
+//! trace's pre-rolled latency. The pre-rolled source (`pre_rolled`)
+//! compiles away, so batched grids pay nothing for it. A stateful
+//! source (a cache hierarchy fed by an address stream) drives one lane:
+//! each block of lanes consults the source afresh.
 //!
 //! ## Lane divergence
 //!
 //! Lanes stall differently — a ROB-bound lane and an IQ-bound lane take
-//! different constraint maxima at the same trace element — but the
-//! recurrence is expressed exactly as the scalar hot loop's cmov form:
-//! every structural constraint reads its ring unconditionally and gates
-//! the value with a branchless select. Divergent stall state therefore
-//! never branches, and each lane's integer arithmetic is *identical* to
-//! the scalar engine's, making per-lane [`CoreMetrics`] bit-identical to
-//! `run_with_scratch` — the invariant `tests/batch_equivalence.rs` pins
-//! across random configs, traces and batch widths.
+//! different constraint maxima at the same trace element — but every
+//! structural constraint reads its ring unconditionally and gates the
+//! value with a branchless select. Divergent stall state therefore
+//! never branches, and each lane's integer arithmetic is that of its
+//! configuration run alone, making per-lane [`CoreMetrics`]
+//! bit-identical to the retained reference engine (`core::reference`)
+//! — the invariant `tests/batch_equivalence.rs` pins across random
+//! configs, traces and batch widths, width 1 included.
 
 use crate::config::CoreConfig;
 use crate::core::validate_config;
 use crate::metrics::CoreMetrics;
-use crate::scratch::{PipeSlot, LANE_COMMIT, LANE_FETCH, LANE_ISSUE, LANE_RENAME};
+use crate::scratch::{
+    CoreScratch, PipeSlot, RingMasks, LANE_COMMIT, LANE_FETCH, LANE_ISSUE, LANE_RENAME,
+};
 use crate::trace::{Trace, FLAG_LOAD, FLAG_MISPREDICT, FLAG_OVERRIDE, FLAG_STORE};
+
+/// The scratch of a batched run: the one [`CoreScratch`], under the
+/// name the end-to-end benchmark (`e2e-bench`) still uses.
+pub type BatchScratch = CoreScratch;
 
 /// Lanes stepped per block of the element loop. The block's lane
 /// states live in locals across the whole loop, so the host keeps the
 /// lanes' mutually independent serial chains in registers and overlaps
-/// them — the instruction-level parallelism a scalar run's single
-/// chain cannot expose.
+/// them — the instruction-level parallelism a single lane's chain
+/// cannot expose.
 const LANE_BLOCK: usize = 8;
-
-/// The four shared power-of-two ring masks, bundled so [`step_block`]
-/// stays under the argument-count lint.
-#[derive(Clone, Copy)]
-struct RingMasks {
-    pipe: usize,
-    complete: usize,
-    load: usize,
-    store: usize,
-}
 
 /// Per-lane configuration parameters (hoisted once per run) and
 /// recurrence state (updated once per trace element).
 #[derive(Debug, Clone, Default)]
-struct Lane {
+pub(crate) struct Lane {
     // -- Hoisted window parameters.
     width: usize,
     rob: usize,
@@ -111,86 +120,57 @@ impl Lane {
             stores_committed: 0,
         }
     }
-}
 
-/// Reusable scratch state for batched lockstep runs: per-lane state and
-/// lane-major ring slabs.
-///
-/// One scratch serves any sequence of `(configs, trace)` batches;
-/// slabs grow to the largest `lanes × window` product seen and are then
-/// reused allocation-free (asserted by the counting-allocator test in
-/// `crates/ooo/tests/zero_alloc.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Per-lane parameters and recurrence state.
-    lanes: Vec<Lane>,
-    // -- Lane-major ring slabs: lane `l` owns `slab[l * cap..(l + 1) * cap]`.
-    pipe: Vec<PipeSlot>,
-    complete: Vec<u64>,
-    load_ring: Vec<u64>,
-    store_ring: Vec<u64>,
-}
-
-impl BatchScratch {
-    /// An empty scratch; slabs are sized on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    /// Total `u64` slots currently held across all ring slabs (used by
-    /// tests to pin the window-bounded footprint).
-    #[must_use]
-    pub fn slab_slots(&self) -> usize {
-        self.pipe.len() * 4 + self.complete.len() + self.load_ring.len() + self.store_ring.len()
-    }
-
-    /// Grows `slab` to hold `lanes` chunks of `cap` slots. Grow-only,
-    /// like the scalar rings: a longer slab stays valid for smaller
-    /// chunk layouts because every gated read is of a same-run write.
-    fn ensure_slab<T: Copy + Default>(slab: &mut Vec<T>, lanes: usize, cap: usize) {
-        let want = lanes * cap;
-        if slab.len() < want {
-            slab.resize(want, T::default());
+    /// This lane's metrics after a run over `trace`. The branch totals
+    /// come from the trace's decode-time predictor replay, so they are
+    /// the same for every lane.
+    pub(crate) fn metrics(&self, trace: &Trace) -> CoreMetrics {
+        let decode = trace.decoded();
+        CoreMetrics {
+            instructions: trace.len() as u64,
+            cycles: self.prev_commit,
+            branches: decode.branches,
+            mispredicts: decode.mispredicts,
+            overrides: decode.overrides,
         }
     }
 }
 
-/// Steps one block of `K` lanes through the whole element loop.
+/// The pre-rolled load-latency source: no answer for any load, so every
+/// load keeps the latency its trace rolled.
+pub(crate) fn pre_rolled(_: usize) -> Option<u32> {
+    None
+}
+
+/// Steps the block of `K` lanes starting at lane `first` through the
+/// whole element loop.
 ///
 /// The block's `Lane` states are copied into a local array first and
 /// written back after: with `K` known at compile time the inner lane
 /// loop fully unrolls, the array decomposes into scalars, and every
-/// lane's recurrence state lives in registers across elements — the
-/// same register residency the scalar engine gets for its single lane,
-/// times `K` mutually independent chains for the host to overlap. Each
-/// lane's ring chunk is carved out once up front; the chunk length
-/// equals `mask + 1`, which (with the non-empty assertion) lets the
-/// compiler drop the per-access bounds checks exactly as the scalar
-/// engine's `ring()` helper does.
-///
-/// The per-element arithmetic is the scalar hot loop's, verbatim —
-/// same cmov gates, same ring index math — so per-lane results stay
-/// bit-identical by construction.
+/// lane's recurrence state lives in registers across elements — `K`
+/// mutually independent chains for the host to overlap. Each lane's
+/// ring chunk is carved out once up front; the chunk length equals
+/// `mask + 1`, which lets the compiler prove `idx & mask < len` and
+/// drop the per-access bounds checks.
 #[inline(always)]
 fn step_block<const K: usize>(
-    lanes: &mut [Lane],
+    scratch: &mut CoreScratch,
+    first: usize,
     decoded: &[[u32; 4]],
-    pipe: &mut [PipeSlot],
-    complete: &mut [u64],
-    load_ring: &mut [u64],
-    store_ring: &mut [u64],
     masks: RingMasks,
+    load_latency: &mut impl FnMut(usize) -> Option<u32>,
 ) {
-    fn chunks<T, const K: usize>(buf: &mut [T], cap: usize) -> [&mut [T]; K] {
-        assert!(cap > 0 && buf.len() == K * cap, "slab holds K full chunks");
-        let mut it = buf.chunks_exact_mut(cap);
-        core::array::from_fn(|_| it.next().expect("slab holds K chunks"))
+    fn chunks<T, const K: usize>(slab: &mut [T], first: usize, mask: usize) -> [&mut [T]; K] {
+        let cap = mask + 1;
+        let mut it = slab[first * cap..(first + K) * cap].chunks_exact_mut(cap);
+        core::array::from_fn(|_| it.next().expect("the block holds K full rings"))
     }
-    let mut pipe_k: [&mut [PipeSlot]; K] = chunks(pipe, masks.pipe + 1);
-    let mut complete_k: [&mut [u64]; K] = chunks(complete, masks.complete + 1);
-    let mut load_k: [&mut [u64]; K] = chunks(load_ring, masks.load + 1);
-    let mut store_k: [&mut [u64]; K] = chunks(store_ring, masks.store + 1);
+    let mut pipe_k: [&mut [PipeSlot]; K] = chunks(&mut scratch.pipe, first, masks.pipe);
+    let mut complete_k: [&mut [u64]; K] = chunks(&mut scratch.complete, first, masks.complete);
+    let mut load_k: [&mut [u64]; K] = chunks(&mut scratch.load_ring, first, masks.load);
+    let mut store_k: [&mut [u64]; K] = chunks(&mut scratch.store_ring, first, masks.store);
+    let lanes = &mut scratch.lanes[first..first + K];
     let mut ls: [Lane; K] = core::array::from_fn(|k| lanes[k].clone());
 
     // Past the largest structural window in the block, every
@@ -219,6 +199,7 @@ fn step_block<const K: usize>(
         &mut load_k,
         &mut store_k,
         masks,
+        load_latency,
     );
     run_range::<K, true>(
         split,
@@ -229,6 +210,7 @@ fn step_block<const K: usize>(
         &mut load_k,
         &mut store_k,
         masks,
+        load_latency,
     );
 
     for (lane, state) in lanes.iter_mut().zip(ls) {
@@ -252,13 +234,22 @@ fn run_range<const K: usize, const STEADY: bool>(
     load_k: &mut [&mut [u64]; K],
     store_k: &mut [&mut [u64]; K],
     masks: RingMasks,
+    load_latency: &mut impl FnMut(usize) -> Option<u32>,
 ) {
     for (off, rec) in decoded.iter().enumerate() {
         let i = start + off;
         let [flag, base_latency, d1, d2] = *rec;
-        let latency = u64::from(base_latency);
         let is_load = flag & FLAG_LOAD != 0;
         let is_store = flag & FLAG_STORE != 0;
+        // Decode pre-clamps stored latencies, so only the source's
+        // answer needs the `.max(1)` here.
+        let mut latency = base_latency;
+        if is_load {
+            if let Some(v) = load_latency(i) {
+                latency = v.max(1);
+            }
+        }
+        let latency = u64::from(latency);
         let overridden = flag & FLAG_OVERRIDE != 0;
         let mispredicted = flag & FLAG_MISPREDICT != 0;
         let d1 = d1 as usize;
@@ -320,14 +311,21 @@ fn run_range<const K: usize, const STEADY: bool>(
 
             pipe_l[i & masks.pipe] = PipeSlot([fe, r, iss, cm]);
 
-            // Branchless memory-op bookkeeping, exactly as the scalar
-            // engine: both next slots written unconditionally, only the
-            // matching counter advances.
+            // Branchless memory-op bookkeeping: both rings' next slots
+            // are written unconditionally (their capacity exceeds the
+            // queue depth, so the next slot is never one a constraint
+            // read can select), and only the matching counter advances.
             load_l[lane.loads_committed & masks.load] = cm;
             store_l[lane.stores_committed & masks.store] = cm;
             lane.loads_committed += usize::from(is_load);
             lane.stores_committed += usize::from(is_store);
 
+            // Branch outcomes are baked in at decode; both updates are
+            // cmov-selected rather than branched on. `FLAG_OVERRIDE`
+            // wins over `FLAG_MISPREDICT` exactly as the reference's
+            // if/else does. An override redirects fetch a bubble after
+            // the branch was fetched; a full refill restarts younger
+            // fetch after resolution.
             let ov = fe + lane.override_bubble;
             lane.fetch_bubble = lane.fetch_bubble.max(if overridden { ov } else { 0 });
             lane.redirect_barrier =
@@ -341,9 +339,7 @@ fn run_range<const K: usize, const STEADY: bool>(
 /// returning one [`CoreMetrics`] per configuration (same order), each
 /// bit-identical to `CoreSimulator::new(cfg).run_with_scratch(trace, ..)`.
 ///
-/// Uses the trace's pre-rolled load latencies (the sweep semantics —
-/// batching is only sound when lanes share the trace verbatim, which a
-/// per-lane memory-model callout would break).
+/// Uses the trace's pre-rolled load latencies.
 ///
 /// # Panics
 ///
@@ -353,7 +349,7 @@ fn run_range<const K: usize, const STEADY: bool>(
 pub fn run_batch_with_scratch(
     configs: &[CoreConfig],
     trace: &Trace,
-    scratch: &mut BatchScratch,
+    scratch: &mut CoreScratch,
 ) -> Vec<CoreMetrics> {
     let mut out = Vec::with_capacity(configs.len());
     run_batch_into(configs, trace, scratch, &mut out);
@@ -365,10 +361,29 @@ pub fn run_batch_with_scratch(
 pub fn run_batch_into(
     configs: &[CoreConfig],
     trace: &Trace,
-    scratch: &mut BatchScratch,
+    scratch: &mut CoreScratch,
     out: &mut Vec<CoreMetrics>,
 ) {
     out.clear();
+    run_lanes(configs, trace, scratch, pre_rolled);
+    out.extend(scratch.lanes.iter().map(|lane| lane.metrics(trace)));
+}
+
+/// Runs every configuration in `configs` over `trace` as one lane,
+/// leaving each lane's final state in `scratch.lanes` (read it with
+/// [`Lane::metrics`]). `load_latency` is the load-latency source (see
+/// the module docs).
+///
+/// # Panics
+///
+/// Panics on degenerate configurations.
+pub(crate) fn run_lanes(
+    configs: &[CoreConfig],
+    trace: &Trace,
+    scratch: &mut CoreScratch,
+    mut load_latency: impl FnMut(usize) -> Option<u32>,
+) {
+    scratch.lanes.clear();
     for config in configs {
         validate_config(config);
     }
@@ -376,126 +391,42 @@ pub fn run_batch_into(
         return;
     }
     let n = trace.len();
-    let max_src = trace.max_src_distance() as usize;
-    let decode = trace.decoded();
-
-    // Shared slab capacities: the maximum over the batch of each scalar
-    // ring requirement (`CoreScratch::size_rings` rules), one power-of-
-    // two capacity per ring family so every lane shares one mask.
-    let active = |d: usize| if d < n { d } else { 1 };
-    let mut pipe_cap = 1usize;
-    let mut load_cap = 1usize;
-    let mut store_cap = 1usize;
-    for c in configs {
-        pipe_cap = pipe_cap.max(
-            active(c.width)
-                .max(active(c.issue_queue))
-                .max(active(c.rob)),
-        );
-        load_cap = load_cap.max(if c.load_queue <= n {
-            c.load_queue + 1
-        } else {
-            1
-        });
-        store_cap = store_cap.max(if c.store_queue <= n {
-            c.store_queue + 1
-        } else {
-            1
-        });
-    }
-    let pipe_cap = pipe_cap.next_power_of_two();
-    let complete_cap = max_src.max(1).next_power_of_two();
-    let load_cap = load_cap.next_power_of_two();
-    let store_cap = store_cap.next_power_of_two();
-    let pipe_mask = pipe_cap - 1;
-    let complete_mask = complete_cap - 1;
-    let load_mask = load_cap - 1;
-    let store_mask = store_cap - 1;
-
-    let lanes_n = configs.len();
-    BatchScratch::ensure_slab(&mut scratch.pipe, lanes_n, pipe_cap);
-    BatchScratch::ensure_slab(&mut scratch.complete, lanes_n, complete_cap);
-    BatchScratch::ensure_slab(&mut scratch.load_ring, lanes_n, load_cap);
-    BatchScratch::ensure_slab(&mut scratch.store_ring, lanes_n, store_cap);
-
-    scratch.lanes.clear();
-    for config in configs {
-        scratch.lanes.push(Lane::new(config, n));
-    }
-
-    let BatchScratch {
-        lanes,
-        pipe,
-        complete,
-        load_ring,
-        store_ring,
-    } = scratch;
-    let decoded = &decode.insts[..n];
-    let lanes = &mut lanes[..];
+    let decoded = &trace.decoded().insts[..n];
+    let masks = scratch.size_slabs(configs, n, trace.max_src_distance() as usize);
+    scratch
+        .lanes
+        .extend(configs.iter().map(|config| Lane::new(config, n)));
 
     // Lanes are stepped in blocks of up to `LANE_BLOCK`, each block
     // running the whole element loop with its lanes' recurrence state
-    // in locals (see [`step_block`]). A block bigger than the register
-    // file spills lane state to the stack every element, which
-    // re-serializes the chains the blocking exists to overlap; 4 lanes
-    // × ~8 live u64s fits comfortably.
-    let mut done = 0;
-    while done < lanes_n {
-        let k = (lanes_n - done).min(LANE_BLOCK);
-        let lane_block = &mut lanes[done..done + k];
-        let pipe_b = &mut pipe[done * pipe_cap..(done + k) * pipe_cap];
-        let complete_b = &mut complete[done * complete_cap..(done + k) * complete_cap];
-        let load_b = &mut load_ring[done * load_cap..(done + k) * load_cap];
-        let store_b = &mut store_ring[done * store_cap..(done + k) * store_cap];
-        let masks = RingMasks {
-            pipe: pipe_mask,
-            complete: complete_mask,
-            load: load_mask,
-            store: store_mask,
-        };
+    // in locals (see [`step_block`]). More lanes a block overlap more
+    // chains, but a block bigger than the register file spills lane
+    // state to the stack every element: at eight lanes the five live
+    // recurrence values and four ring pointers a lane already exceed
+    // x86-64's sixteen general registers.
+    let mut first = 0;
+    while first < configs.len() {
+        let k = (configs.len() - first).min(LANE_BLOCK);
+        let latency = &mut load_latency;
         match k {
-            8 => step_block::<8>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            7 => step_block::<7>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            6 => step_block::<6>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            5 => step_block::<5>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            4 => step_block::<4>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            3 => step_block::<3>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            2 => step_block::<2>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
-            _ => step_block::<1>(
-                lane_block, decoded, pipe_b, complete_b, load_b, store_b, masks,
-            ),
+            8 => step_block::<8>(scratch, first, decoded, masks, latency),
+            7 => step_block::<7>(scratch, first, decoded, masks, latency),
+            6 => step_block::<6>(scratch, first, decoded, masks, latency),
+            5 => step_block::<5>(scratch, first, decoded, masks, latency),
+            4 => step_block::<4>(scratch, first, decoded, masks, latency),
+            3 => step_block::<3>(scratch, first, decoded, masks, latency),
+            2 => step_block::<2>(scratch, first, decoded, masks, latency),
+            _ => step_block::<1>(scratch, first, decoded, masks, latency),
         }
-        done += k;
+        first += k;
     }
-
-    out.extend(lanes.iter().map(|lane| CoreMetrics {
-        instructions: n as u64,
-        cycles: lane.prev_commit,
-        branches: decode.branches,
-        mispredicts: decode.mispredicts,
-        overrides: decode.overrides,
-    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::reference::ReferenceCoreSimulator;
     use crate::core::CoreSimulator;
-    use crate::scratch::CoreScratch;
     use crate::trace::TraceConfig;
 
     fn grid() -> Vec<CoreConfig> {
@@ -517,13 +448,38 @@ mod tests {
     fn batch_matches_scalar_engine() {
         let trace = TraceConfig::parsec_like().generate(30_000, 7);
         let configs = grid();
-        let mut scratch = BatchScratch::new();
-        let batched = run_batch_with_scratch(&configs, &trace, &mut scratch);
-        let mut scalar_scratch = CoreScratch::new();
+        let batched = run_batch_with_scratch(&configs, &trace, &mut CoreScratch::new());
         for (cfg, got) in configs.iter().zip(&batched) {
-            let want = CoreSimulator::new(*cfg).run_with_scratch(&trace, &mut scalar_scratch);
-            assert_eq!(*got, want, "lane diverged from scalar engine on {cfg:?}");
+            let want = ReferenceCoreSimulator::new(*cfg).run(&trace);
+            assert_eq!(
+                *got, want,
+                "lane diverged from the reference engine on {cfg:?}"
+            );
         }
+    }
+
+    #[test]
+    fn one_scratch_serves_every_shape() {
+        // A 5-lane batch, a width-1 run, a CPI stack (a width-1 run and
+        // a 3-lane batch) and a 2-lane batch, all on one scratch, each
+        // answering what a fresh scratch answers.
+        let trace = TraceConfig::parsec_like().generate(12_000, 5);
+        let configs = grid();
+        let sim = CoreSimulator::new(configs[5]);
+        let mut scratch = CoreScratch::new();
+        assert_eq!(
+            run_batch_with_scratch(&configs[..5], &trace, &mut scratch),
+            run_batch_with_scratch(&configs[..5], &trace, &mut CoreScratch::new())
+        );
+        assert_eq!(sim.run_with_scratch(&trace, &mut scratch), sim.run(&trace));
+        assert_eq!(
+            sim.cpi_stack_with_scratch(&trace, &mut scratch),
+            sim.cpi_stack(&trace)
+        );
+        assert_eq!(
+            run_batch_with_scratch(&configs[4..], &trace, &mut scratch),
+            run_batch_with_scratch(&configs[4..], &trace, &mut CoreScratch::new())
+        );
     }
 
     #[test]
@@ -533,7 +489,7 @@ mod tests {
             TraceConfig::serial_chain().generate(4_000, 2),
         ];
         let configs = grid();
-        let mut scratch = BatchScratch::new();
+        let mut scratch = CoreScratch::new();
         let mut out = Vec::new();
         for trace in &traces {
             // Full batch, then a narrower batch reusing the (larger)
@@ -542,7 +498,7 @@ mod tests {
             let full = out.clone();
             run_batch_into(&configs[..2], trace, &mut scratch, &mut out);
             assert_eq!(out[..], full[..2], "slab reuse changed a lane result");
-            let fresh = run_batch_with_scratch(&configs, trace, &mut BatchScratch::new());
+            let fresh = run_batch_with_scratch(&configs, trace, &mut CoreScratch::new());
             assert_eq!(full, fresh, "scratch reuse changed a batch result");
         }
     }
@@ -550,7 +506,7 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let trace = TraceConfig::parsec_like().generate(1_000, 1);
-        let out = run_batch_with_scratch(&[], &trace, &mut BatchScratch::new());
+        let out = run_batch_with_scratch(&[], &trace, &mut CoreScratch::new());
         assert!(out.is_empty());
     }
 
@@ -562,6 +518,6 @@ mod tests {
             width: 0,
             ..CoreConfig::skylake_8_wide()
         };
-        let _ = run_batch_with_scratch(&[bad], &trace, &mut BatchScratch::new());
+        let _ = run_batch_with_scratch(&[bad], &trace, &mut CoreScratch::new());
     }
 }

@@ -18,9 +18,12 @@
 //!
 //! ## Performance architecture
 //!
-//! Timestamps live in window-bounded ring buffers inside a reusable
-//! [`CoreScratch`] (see the [`crate::scratch`] module docs), and the hot
-//! loop iterates the trace's decoded form (packed 16-byte records,
+//! Every run is a batch of the lockstep engine in [`crate::batch`]: a
+//! scalar run is a batch of width 1, and a CPI stack is one width-1 run
+//! plus one 3-lane batch of its idealized configurations. Timestamps
+//! live in window-bounded ring buffers inside a reusable
+//! [`CoreScratch`] (see the [`crate::scratch`] module docs), and the
+//! engine iterates the trace's decoded form (packed 16-byte records,
 //! built once per trace on its first run; see the [`crate::trace`]
 //! module docs) instead of the `Inst` enum — so `run_with_scratch`
 //! allocates nothing beyond the trace's one decode and the
@@ -30,11 +33,12 @@
 //! in [`reference`](mod@reference), which the equivalence suite pins across
 //! seeds × traces × configs.
 
+use crate::batch::{pre_rolled, run_lanes};
 use crate::cache::{AddressModel, CacheHierarchy};
 use crate::config::CoreConfig;
 use crate::metrics::CoreMetrics;
-use crate::scratch::{CoreScratch, LANE_COMMIT, LANE_FETCH, LANE_ISSUE, LANE_RENAME};
-use crate::trace::{Trace, FLAG_LOAD, FLAG_MISPREDICT, FLAG_OVERRIDE, FLAG_STORE};
+use crate::scratch::CoreScratch;
+use crate::trace::Trace;
 
 /// The core simulator.
 #[derive(Debug, Clone)]
@@ -42,9 +46,8 @@ pub struct CoreSimulator {
     config: CoreConfig,
 }
 
-/// Asserts that `config` is simulatable (shared by all three engines:
-/// the scalar hot loop, the reference, and the batched lockstep engine
-/// in [`crate::batch`]).
+/// Asserts that `config` is simulatable (shared by the lockstep engine
+/// in [`crate::batch`] and the reference).
 pub(crate) fn validate_config(config: &CoreConfig) {
     assert!(config.width > 0, "core width must be positive");
     assert!(
@@ -86,7 +89,7 @@ impl CoreSimulator {
     /// steady-state heap allocations.
     #[must_use]
     pub fn run_with_scratch(&self, trace: &Trace, scratch: &mut CoreScratch) -> CoreMetrics {
-        self.run_inner(trace, scratch, |_| None)
+        self.run_lane(trace, scratch, pre_rolled)
     }
 
     /// Runs the trace with loads resolved by a simulated cache hierarchy
@@ -99,19 +102,7 @@ impl CoreSimulator {
         memory: &mut CacheHierarchy,
         addrs: &mut AddressModel,
     ) -> CoreMetrics {
-        self.run_with_memory_scratch(trace, memory, addrs, &mut CoreScratch::new())
-    }
-
-    /// [`CoreSimulator::run_with_memory`] with a caller-owned scratch.
-    #[must_use]
-    pub fn run_with_memory_scratch(
-        &self,
-        trace: &Trace,
-        memory: &mut CacheHierarchy,
-        addrs: &mut AddressModel,
-        scratch: &mut CoreScratch,
-    ) -> CoreMetrics {
-        self.run_inner(trace, scratch, |_| {
+        self.run_lane(trace, &mut CoreScratch::new(), |_| {
             Some(memory.load_latency(addrs.next_addr()))
         })
     }
@@ -127,34 +118,30 @@ impl CoreSimulator {
         self.cpi_stack_with_scratch(trace, &mut CoreScratch::new())
     }
 
-    /// [`CoreSimulator::cpi_stack`] reusing one scratch across the four
-    /// idealized runs (the rings serve all four window shapes; the four
-    /// runs read the trace's one decode).
+    /// [`CoreSimulator::cpi_stack`] reusing one scratch for the real run
+    /// and the idealized batch.
     #[must_use]
     pub fn cpi_stack_with_scratch(&self, trace: &Trace, scratch: &mut CoreScratch) -> [u64; 4] {
         let real = self.run_with_scratch(trace, scratch).cycles;
-        // Ideal memory: every load is a 1-cycle hit.
-        let ideal_mem = self.run_inner(trace, scratch, |_| Some(1)).cycles;
-        // Ideal structures on top: unbounded ROB/IQ/LSQ.
-        let roomy = CoreSimulator::new(CoreConfig {
+        // Ideal memory: every load is a 1-cycle hit. Ideal structures on
+        // top: unbounded ROB/IQ/LSQ. Ideal frontend on top of both: a
+        // zero-depth refill (mispredicts still redirect, but the refill
+        // pipe is free). The three share the 1-cycle loads, so they run
+        // as one batch.
+        let roomy = CoreConfig {
             rob: usize::MAX / 2,
             issue_queue: usize::MAX / 2,
             load_queue: usize::MAX / 2,
             store_queue: usize::MAX / 2,
             ..self.config
-        });
-        let ideal_struct = roomy.run_inner(trace, scratch, |_| Some(1)).cycles;
-        // Ideal frontend on top: zero-depth refill (mispredicts still
-        // redirect, but the refill pipe is free).
-        let perfect = CoreSimulator::new(CoreConfig {
-            rob: usize::MAX / 2,
-            issue_queue: usize::MAX / 2,
-            load_queue: usize::MAX / 2,
-            store_queue: usize::MAX / 2,
+        };
+        let perfect = CoreConfig {
             frontend_depth: 0,
-            ..self.config
-        });
-        let base = perfect.run_inner(trace, scratch, |_| Some(1)).cycles;
+            ..roomy
+        };
+        run_lanes(&[self.config, roomy, perfect], trace, scratch, |_| Some(1));
+        let [ideal_mem, ideal_struct, base] =
+            [0, 1, 2].map(|k| scratch.lanes[k].metrics(trace).cycles);
         [
             base,
             ideal_struct.saturating_sub(base),
@@ -163,184 +150,22 @@ impl CoreSimulator {
         ]
     }
 
-    /// The hot loop: program-order timestamp recurrence over the decoded
-    /// trace, with every timestamp series in a window-bounded ring.
-    ///
-    /// `load_latency` is consulted once per load, in program order;
-    /// `None` falls back to the trace's pre-rolled latency. The
-    /// recurrence, predictor train order and counter updates replicate
-    /// [`reference::ReferenceCoreSimulator`] exactly — bit-identity is
-    /// the invariant every optimization here must preserve.
-    fn run_inner(
+    /// Runs this simulator's configuration as a batch of one lane, with
+    /// `load_latency` as the load-latency source (see the
+    /// [`crate::batch`] module docs).
+    fn run_lane(
         &self,
         trace: &Trace,
         scratch: &mut CoreScratch,
-        mut load_latency: impl FnMut(usize) -> Option<u32>,
+        load_latency: impl FnMut(usize) -> Option<u32>,
     ) -> CoreMetrics {
-        let c = self.config;
-        let n = trace.len();
-        let decode = trace.decoded();
-        scratch.size_rings(&c, n, trace.max_src_distance() as usize);
-
-        // Ring slices and their index masks. Capacities are powers of
-        // two and never zero; the explicit non-empty assertion is what
-        // lets the compiler prove `idx & (len - 1) < len` and drop both
-        // the per-access bounds check and the per-access `len == 0`
-        // guard it otherwise keeps (the mask would be `usize::MAX` for
-        // an empty ring).
-        fn ring<T>(buf: &mut [T]) -> (&mut [T], usize) {
-            assert!(!buf.is_empty(), "rings always hold at least one slot");
-            let mask = buf.len() - 1;
-            (buf, mask)
-        }
-        let (pipe, pipe_mask) = ring(&mut scratch.pipe);
-        let (complete, complete_mask) = ring(&mut scratch.complete);
-        let (load_ring, load_mask) = ring(&mut scratch.load_ring);
-        let (store_ring, store_mask) = ring(&mut scratch.store_ring);
-
-        // Decoded trace (one packed record per instruction).
-        let decoded = &decode.insts[..n];
-
-        // The loop body below is **branch-free** apart from the memory
-        // model's per-load callout: every structural constraint reads
-        // its ring unconditionally (a wrapped index is always in-bounds)
-        // and cmov-gates the value, because whether a constraint applies
-        // at instruction `i` depends on the (random) instruction mix —
-        // a conditional here mispredicts constantly on the host.
-        // Constraints that can never fire within `n` instructions are
-        // gated by these hoisted flags, so stale ring slots they would
-        // read are discarded.
-        let rob = c.rob;
-        let iq = c.issue_queue;
-        let rob_active = rob < n;
-        let iq_active = iq < n;
-        let lq = c.load_queue;
-        let sq = c.store_queue;
-        let lq_active = lq <= n;
-        let sq_active = sq <= n;
-
-        let mut redirect_barrier: u64 = 0; // earliest fetch after a refill
-        let mut fetch_bubble: u64 = 0; // accumulated override bubbles
-        let mut prev_commit: u64 = 0; // commit[i - 1]
-
-        let mut loads_committed: usize = 0;
-        let mut stores_committed: usize = 0;
-
-        let fd = u64::from(c.frontend_depth);
-        let bypass_extra = u64::from(c.bypass_cycles - 1);
-        let override_bubble = u64::from(c.override_bubble);
-        let w = c.width;
-
-        for i in 0..n {
-            let [flag, base_latency, d1, d2] = decoded[i];
-
-            // The `i - width` lookback serves all four pipeline lanes;
-            // with the fused ring that is one slot (one cache line).
-            // When the capacity equals `width` this is the very slot
-            // lane writes below recycle — each lane reads its previous
-            // value before overwriting it, exactly like the split rings
-            // did.
-            let wslot = pipe[i.wrapping_sub(w) & pipe_mask].0;
-            let in_window = i >= w;
-
-            // -- Fetch: width per cycle, after any redirect barrier.
-            let bw_fetch = if in_window { wslot[LANE_FETCH] + 1 } else { 0 };
-            let fe = bw_fetch.max(redirect_barrier).max(fetch_bubble);
-
-            // -- Rename: frontend depth later, limited by width and by
-            //    structural capacity (a slot frees when the displacing
-            //    entry leaves).
-            let mut r = fe + fd;
-            r = r.max(if in_window { wslot[LANE_RENAME] + 1 } else { 0 });
-            // ROB slot frees at commit; IQ entry frees at issue.
-            let robv = pipe[i.wrapping_sub(rob) & pipe_mask].0[LANE_COMMIT];
-            r = r.max(if rob_active & (i >= rob) { robv } else { 0 });
-            let iqv = pipe[i.wrapping_sub(iq) & pipe_mask].0[LANE_ISSUE] + 1;
-            r = r.max(if iq_active & (i >= iq) { iqv } else { 0 });
-            // LQ/SQ capacity: a slot frees when the displacing memory
-            // op commits.
-            let is_load = flag & FLAG_LOAD != 0;
-            let is_store = flag & FLAG_STORE != 0;
-            let lv = load_ring[loads_committed.wrapping_sub(lq) & load_mask];
-            let sv = store_ring[stores_committed.wrapping_sub(sq) & store_mask];
-            let l_gate = is_load & lq_active & (loads_committed >= lq);
-            let s_gate = is_store & sq_active & (stores_committed >= sq);
-            r = r.max(if l_gate { lv } else { 0 });
-            r = r.max(if s_gate { sv } else { 0 });
-
-            // -- Ready: all sources produced, plus the bypass penalty.
-            //    Distance 0 ("no operand") selects a wrapped stale slot
-            //    that the cmov discards.
-            let mut ready = r + 1;
-            let d1 = d1 as usize;
-            let v1 = complete[i.wrapping_sub(d1) & complete_mask] + bypass_extra;
-            ready = ready.max(if d1 != 0 { v1 } else { 0 });
-            let d2 = d2 as usize;
-            let v2 = complete[i.wrapping_sub(d2) & complete_mask] + bypass_extra;
-            ready = ready.max(if d2 != 0 { v2 } else { 0 });
-
-            // -- Issue: port bandwidth `width` per cycle.
-            let iss = ready.max(if in_window { wslot[LANE_ISSUE] + 1 } else { 0 });
-
-            // -- Execute. Decode pre-clamps stored latencies, so only a
-            //    memory-model answer needs the `.max(1)` here.
-            let mut latency = base_latency;
-            if flag & FLAG_LOAD != 0 {
-                if let Some(v) = load_latency(i) {
-                    latency = v.max(1);
-                }
-            }
-            let comp = iss + u64::from(latency);
-            complete[i & complete_mask] = comp;
-
-            // -- Commit: in order, width per cycle.
-            let mut cm = comp + 1;
-            cm = cm.max(prev_commit);
-            cm = cm.max(if in_window { wslot[LANE_COMMIT] + 1 } else { 0 });
-            prev_commit = cm;
-
-            // One fused 32-byte slot store per instruction (instead of
-            // four lane stores spread across the body): every
-            // same-iteration lane read above wants the slot's *previous*
-            // occupant, so deferring the write to the end is
-            // behaviour-preserving and halves the store-buffer traffic.
-            pipe[i & pipe_mask] = crate::scratch::PipeSlot([fe, r, iss, cm]);
-
-            // Branchless memory-op bookkeeping: both rings' next slots
-            // are written unconditionally (their capacity exceeds the
-            // queue depth, so the next slot is never one a constraint
-            // read can select), and only the matching counter advances.
-            load_ring[loads_committed & load_mask] = cm;
-            store_ring[stores_committed & store_mask] = cm;
-            loads_committed += usize::from(is_load);
-            stores_committed += usize::from(is_store);
-            // Branch outcomes are baked in at decode; which way any one
-            // branch went is random, so both updates are cmov-selected
-            // rather than branched on. `FLAG_OVERRIDE` wins over
-            // `FLAG_MISPREDICT` exactly as the reference's if/else does.
-            let overridden = flag & FLAG_OVERRIDE != 0;
-            let mispredicted = flag & FLAG_MISPREDICT != 0;
-            // The backup predictor redirects fetch a couple of cycles
-            // after this branch was fetched.
-            let ov = fe + override_bubble;
-            fetch_bubble = fetch_bubble.max(if overridden { ov } else { 0 });
-            // Full refill: younger fetch restarts after resolution and
-            // re-traverses the frontend.
-            redirect_barrier =
-                redirect_barrier.max(if mispredicted & !overridden { comp } else { 0 });
-        }
-
-        // Branch statistics come from the decode-time predictor replay:
-        // the train sequence is trace-determined, so the totals are the
-        // same for every configuration (the equivalence suite pins this
-        // against the reference engine's in-loop predictor).
-        CoreMetrics {
-            instructions: n as u64,
-            cycles: prev_commit,
-            branches: decode.branches,
-            mispredicts: decode.mispredicts,
-            overrides: decode.overrides,
-        }
+        run_lanes(
+            std::slice::from_ref(&self.config),
+            trace,
+            scratch,
+            load_latency,
+        );
+        scratch.lanes[0].metrics(trace)
     }
 }
 

@@ -15,8 +15,8 @@
 //!
 //! A trace also owns its **decoded form**: one packed 16-byte record per
 //! instruction (flags with the predictor outcome baked in, pre-resolved
-//! execute latency, both dependency distances), the form the scalar and
-//! batched hot loops iterate. It is built on the first simulation, not
+//! execute latency, both dependency distances), the form the engine's
+//! hot loop iterates. It is built on the first simulation, not
 //! at construction (generation stays as cheap as it was), and then
 //! shared by every run, scratch and thread that simulates the trace, so
 //! a sweep of many configurations over one trace decodes it once.
@@ -107,7 +107,7 @@ pub(crate) const FLAG_MISPREDICT: u32 = 32;
 /// instead of four parallel arrays.
 pub(crate) type DecodedInst = [u32; 4];
 
-/// A trace in the form the hot loops iterate, plus the branch totals of
+/// A trace in the form the hot loop iterates, plus the branch totals of
 /// the predictor replay that produced it.
 #[derive(Debug, Clone)]
 pub(crate) struct Decoded {
@@ -395,7 +395,10 @@ impl TraceConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the instruction-class fractions exceed 1.
+    /// Panics if the instruction-class fractions exceed 1, or if
+    /// `branch_sites` is 0 and the trace draws a branch (a branch's PC
+    /// is a remainder by `branch_sites`; with a positive `branch_frac`,
+    /// all but the shortest traces draw one).
     #[must_use]
     pub fn generate(&self, n: usize, seed: u64) -> Trace {
         assert!(

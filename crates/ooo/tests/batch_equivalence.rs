@@ -1,14 +1,14 @@
-//! Property-based bit-identity of the batched lockstep engine against
-//! the scalar engine: for random configuration grids, random traces and
-//! random batch widths (including 1, 2, the whole grid, and widths that
-//! do not divide the grid size), every lane of
-//! [`run_batch_with_scratch`] must equal the scalar
-//! `CoreSimulator::run_with_scratch` result for that configuration —
-//! the whole `CoreMetrics`, not just IPC.
+//! Property-based bit-identity of the lockstep engine against the
+//! retained reference engine: for random configuration grids, random
+//! traces and random batch widths (including 1, 2, the whole grid, and
+//! widths that do not divide the grid size), every lane of
+//! [`run_batch_with_scratch`] must equal the `ReferenceCoreSimulator`
+//! result for that configuration — the whole `CoreMetrics`, not just
+//! IPC.
 
+use cryowire_ooo::core::reference::ReferenceCoreSimulator;
 use cryowire_ooo::{
-    run_batch_into, run_batch_with_scratch, BatchScratch, CoreConfig, CoreMetrics, CoreScratch,
-    CoreSimulator, TraceConfig,
+    run_batch_into, run_batch_with_scratch, CoreConfig, CoreMetrics, CoreScratch, TraceConfig,
 };
 use proptest::prelude::*;
 
@@ -41,11 +41,10 @@ fn arb_config() -> impl Strategy<Value = CoreConfig> {
         )
 }
 
-fn scalar_lanes(configs: &[CoreConfig], trace: &cryowire_ooo::Trace) -> Vec<CoreMetrics> {
-    let mut scratch = CoreScratch::new();
+fn reference_lanes(configs: &[CoreConfig], trace: &cryowire_ooo::Trace) -> Vec<CoreMetrics> {
     configs
         .iter()
-        .map(|cfg| CoreSimulator::new(*cfg).run_with_scratch(trace, &mut scratch))
+        .map(|cfg| ReferenceCoreSimulator::new(*cfg).run(trace))
         .collect()
 }
 
@@ -66,11 +65,11 @@ proptest! {
             TraceConfig::parsec_like()
         };
         let trace = trace_config.generate(insts, seed);
-        let want = scalar_lanes(&configs, &trace);
+        let want = reference_lanes(&configs, &trace);
 
         // One scratch across every chunk — slab reuse between batches of
         // different widths is part of the contract under test.
-        let mut scratch = BatchScratch::new();
+        let mut scratch = CoreScratch::new();
         let mut out = Vec::new();
         let mut got = Vec::new();
         for chunk in configs.chunks(batch_width) {
@@ -85,7 +84,7 @@ proptest! {
 fn named_batch_widths_cover_the_grid_splits() {
     // The grid has 5 lanes; widths 1 (degenerate), 2 (even split with
     // remainder), 5 (whole grid in one batch) and 3 (does not divide 5)
-    // must all reproduce the scalar results lane for lane.
+    // must all reproduce the reference results lane for lane.
     let configs = vec![
         CoreConfig::skylake_8_wide(),
         CoreConfig::superpipelined_8_wide(),
@@ -94,9 +93,9 @@ fn named_batch_widths_cover_the_grid_splits() {
         CoreConfig::skylake_8_wide().with_bypass_cycles(2),
     ];
     let trace = TraceConfig::parsec_like().generate(25_000, 7);
-    let want = scalar_lanes(&configs, &trace);
+    let want = reference_lanes(&configs, &trace);
     for batch_width in [1usize, 2, 5, 3] {
-        let mut scratch = BatchScratch::new();
+        let mut scratch = CoreScratch::new();
         let got: Vec<CoreMetrics> = configs
             .chunks(batch_width)
             .flat_map(|chunk| run_batch_with_scratch(chunk, &trace, &mut scratch))

@@ -6,12 +6,12 @@
 //! that differs only between the samples. This test builds that case:
 //! the freed block goes back to a same-sized `Vec`, and the change sits
 //! at instruction 1, between the samples at 0 and 64 of a
-//! 2 048-instruction trace. A reused `CoreScratch` and a reused
-//! `BatchScratch` must return what fresh ones do.
+//! 2 048-instruction trace. A scratch reused by a scalar run and one
+//! reused by a batch must return what fresh ones do.
 
 use cryowire_ooo::{
-    run_batch_with_scratch, BatchScratch, CoreConfig, CoreScratch, CoreSimulator, Inst, InstKind,
-    Trace, TraceConfig,
+    run_batch_with_scratch, CoreConfig, CoreScratch, CoreSimulator, Inst, InstKind, Trace,
+    TraceConfig,
 };
 
 #[test]
@@ -19,7 +19,7 @@ fn reused_scratch_does_not_replay_a_previous_traces_decode() {
     let configs = [CoreConfig::skylake_8_wide(), CoreConfig::cryosp()];
     let sim = CoreSimulator::new(configs[0]);
     let mut scratch = CoreScratch::new();
-    let mut batch = BatchScratch::new();
+    let mut batch = CoreScratch::new();
 
     let first = TraceConfig::parsec_like().generate(2_048, 1);
     let _ = sim.run_with_scratch(&first, &mut scratch);
@@ -38,13 +38,13 @@ fn reused_scratch_does_not_replay_a_previous_traces_decode() {
     assert_eq!(
         sim.run_with_scratch(&second, &mut scratch),
         fresh,
-        "a reused CoreScratch returned another trace's metrics"
+        "a scratch reused by a scalar run returned another trace's metrics"
     );
-    let fresh_lanes = run_batch_with_scratch(&configs, &second, &mut BatchScratch::new());
+    let fresh_lanes = run_batch_with_scratch(&configs, &second, &mut CoreScratch::new());
     assert_eq!(fresh_lanes[0], fresh);
     assert_eq!(
         run_batch_with_scratch(&configs, &second, &mut batch),
         fresh_lanes,
-        "a reused BatchScratch returned another trace's metrics"
+        "a scratch reused by a batch returned another trace's metrics"
     );
 }

@@ -1,21 +1,19 @@
 //! Counting-allocator proof that the core simulator's steady-state hot
-//! loops allocate nothing: after one warm-up run decodes the trace (the
+//! loop allocates nothing: after one warm-up run decodes the trace (the
 //! decoded form belongs to the trace, not the scratch) and sizes the
 //! scratch's rings, further runs — including a different configuration
 //! over the same trace, a full CPI stack, and a batched lockstep run
 //! over a whole configuration grid — must perform **zero** heap
-//! allocations, and a fresh scratch of either kind on the decoded trace
-//! allocates only its window-bounded rings, nothing the size of the
-//! trace. Kept in its own integration-test binary (one test function,
+//! allocations, and a fresh scratch on the decoded trace, for a scalar
+//! run or a batch, allocates only its window-bounded rings, nothing the
+//! size of the trace. Kept in its own integration-test binary (one test function,
 //! so no concurrent test can perturb the global counters) so the
 //! allocator hook does not interfere with other suites.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use cryowire_ooo::{
-    run_batch_into, BatchScratch, CoreConfig, CoreScratch, CoreSimulator, TraceConfig,
-};
+use cryowire_ooo::{run_batch_into, CoreConfig, CoreScratch, CoreSimulator, TraceConfig};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested by every allocation and growth reallocation.
@@ -95,7 +93,7 @@ fn steady_state_hot_loop_allocates_nothing() {
         CoreConfig::cryosp(),
         CoreConfig::cryocore_4_wide(),
     ];
-    let mut batch_scratch = BatchScratch::new();
+    let mut batch_scratch = CoreScratch::new();
     let mut lanes = Vec::new();
     run_batch_into(&configs, &trace, &mut batch_scratch, &mut lanes);
     let warm_lanes = lanes.clone();
@@ -116,8 +114,8 @@ fn steady_state_hot_loop_allocates_nothing() {
         "steady-state run_batch_into must not allocate"
     );
 
-    // The trace is decoded by now, so a fresh scratch of either kind
-    // allocates only its rings: no single allocation, and not all of
+    // The trace is decoded by now, so a fresh scratch, for a scalar run
+    // or a batch, allocates only its rings: no single allocation, and not all of
     // them together, may reach the size of the decode (16 bytes per
     // instruction), which belongs to the trace, never to a scratch.
     let decode_bytes = trace.len() * 16;
@@ -125,14 +123,14 @@ fn steady_state_hot_loop_allocates_nothing() {
     BYTES.store(0, Ordering::SeqCst);
     LARGEST.store(0, Ordering::SeqCst);
     let fresh = skylake.run_with_scratch(&trace, &mut CoreScratch::new());
-    run_batch_into(&configs, &trace, &mut BatchScratch::new(), &mut fresh_lanes);
+    run_batch_into(&configs, &trace, &mut CoreScratch::new(), &mut fresh_lanes);
     let (bytes, largest) = (BYTES.load(Ordering::SeqCst), LARGEST.load(Ordering::SeqCst));
 
     assert_eq!(fresh, steady, "a fresh scratch changed the result");
     assert_eq!(
         fresh_lanes[..],
         warm_lanes[..],
-        "a fresh batch scratch changed a lane"
+        "a fresh scratch changed a lane"
     );
     assert!(
         largest < decode_bytes,

@@ -221,7 +221,7 @@ fn batched_core_sweep_matches_scalar_sweep() {
     // the byte-identical canonical artifact of the scalar `Sweep::run`,
     // at one worker and at several.
     use cryowire::ooo::{
-        run_batch_into, BatchScratch, CoreConfig, CoreMetrics, CoreSimulator, TraceArena,
+        run_batch_into, CoreConfig, CoreMetrics, CoreScratch, CoreSimulator, TraceArena,
         TraceConfig,
     };
     use cryowire_harness::{Sweep, SweepSpec};
@@ -269,7 +269,7 @@ fn batched_core_sweep_matches_scalar_sweep() {
                         .map(|(point, _)| config_of(point.str("config")))
                         .collect();
                     let mut out = Vec::new();
-                    run_batch_into(&configs, &trace, &mut BatchScratch::new(), &mut out);
+                    run_batch_into(&configs, &trace, &mut CoreScratch::new(), &mut out);
                     out.iter().map(metrics_value).collect()
                 },
             );
