@@ -369,14 +369,21 @@ pub fn run_batch_into(
     out.extend(scratch.lanes.iter().map(|lane| lane.metrics(trace)));
 }
 
-/// Runs every configuration in `configs` over `trace` as one lane,
-/// leaving each lane's final state in `scratch.lanes` (read it with
-/// [`Lane::metrics`]). `load_latency` is the load-latency source (see
-/// the module docs).
+/// Runs each configuration in `configs` over `trace` as one lane of a
+/// lockstep batch, leaving each lane's final state in `scratch.lanes`
+/// (read it with [`Lane::metrics`]). `load_latency` is the batch's
+/// load-latency source; each block of up to `LANE_BLOCK` lanes consults
+/// it afresh, so a stateful source drives one block (see the module
+/// docs).
 ///
 /// # Panics
 ///
 /// Panics on degenerate configurations.
+///
+/// Always inlined, so that a caller with a fixed lane count (a width-1
+/// run, the CPI stack's 3-lane batch) compiles only that block width
+/// for its source.
+#[inline(always)]
 pub(crate) fn run_lanes(
     configs: &[CoreConfig],
     trace: &Trace,
@@ -399,10 +406,10 @@ pub(crate) fn run_lanes(
 
     // Lanes are stepped in blocks of up to `LANE_BLOCK`, each block
     // running the whole element loop with its lanes' recurrence state
-    // in locals (see [`step_block`]). More lanes a block overlap more
+    // in locals (see [`step_block`]). More lanes per block overlap more
     // chains, but a block bigger than the register file spills lane
     // state to the stack every element: at eight lanes the five live
-    // recurrence values and four ring pointers a lane already exceed
+    // recurrence values and four ring pointers per lane already exceed
     // x86-64's sixteen general registers.
     let mut first = 0;
     while first < configs.len() {
