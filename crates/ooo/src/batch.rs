@@ -150,9 +150,7 @@ pub(crate) fn pre_rolled(_: usize) -> Option<u32> {
 /// loop fully unrolls, the array decomposes into scalars, and every
 /// lane's recurrence state lives in registers across elements — `K`
 /// mutually independent chains for the host to overlap. Each lane's
-/// ring chunk is carved out once up front; the chunk length equals
-/// `mask + 1`, which lets the compiler prove `idx & mask < len` and
-/// drop the per-access bounds checks.
+/// ring chunks are carved out once up front, `mask + 1` slots each.
 #[inline(always)]
 fn step_block<const K: usize>(
     scratch: &mut CoreScratch,
@@ -198,7 +196,6 @@ fn step_block<const K: usize>(
         &mut complete_k,
         &mut load_k,
         &mut store_k,
-        masks,
         load_latency,
     );
     run_range::<K, true>(
@@ -209,7 +206,6 @@ fn step_block<const K: usize>(
         &mut complete_k,
         &mut load_k,
         &mut store_k,
-        masks,
         load_latency,
     );
 
@@ -233,7 +229,6 @@ fn run_range<const K: usize, const STEADY: bool>(
     complete_k: &mut [&mut [u64]; K],
     load_k: &mut [&mut [u64]; K],
     store_k: &mut [&mut [u64]; K],
-    masks: RingMasks,
     load_latency: &mut impl FnMut(usize) -> Option<u32>,
 ) {
     for (off, rec) in decoded.iter().enumerate() {
@@ -261,9 +256,16 @@ fn run_range<const K: usize, const STEADY: bool>(
             let complete_l = &mut *complete_k[k];
             let load_l = &mut *load_k[k];
             let store_l = &mut *store_k[k];
+            // Each ring's index mask is its length minus one: a ring is
+            // a non-empty power-of-two chunk, so the compiler proves
+            // `idx & (len - 1) < len` and drops every bounds check.
+            let pipe_m = pipe_l.len() - 1;
+            let complete_m = complete_l.len() - 1;
+            let load_m = load_l.len() - 1;
+            let store_m = store_l.len() - 1;
 
             // -- Fetch: width per cycle, after any redirect barrier.
-            let wslot = pipe_l[i.wrapping_sub(lane.width) & masks.pipe].0;
+            let wslot = pipe_l[i.wrapping_sub(lane.width) & pipe_m].0;
             let in_window = STEADY || i >= lane.width;
             let bw_fetch = if in_window { wslot[LANE_FETCH] + 1 } else { 0 };
             let fe = bw_fetch.max(lane.redirect_barrier).max(lane.fetch_bubble);
@@ -272,20 +274,20 @@ fn run_range<const K: usize, const STEADY: bool>(
             //    structural capacity.
             let mut r = fe + lane.fd;
             r = r.max(if in_window { wslot[LANE_RENAME] + 1 } else { 0 });
-            let robv = pipe_l[i.wrapping_sub(lane.rob) & masks.pipe].0[LANE_COMMIT];
+            let robv = pipe_l[i.wrapping_sub(lane.rob) & pipe_m].0[LANE_COMMIT];
             r = r.max(if lane.rob_active & (STEADY || i >= lane.rob) {
                 robv
             } else {
                 0
             });
-            let iqv = pipe_l[i.wrapping_sub(lane.iq) & masks.pipe].0[LANE_ISSUE] + 1;
+            let iqv = pipe_l[i.wrapping_sub(lane.iq) & pipe_m].0[LANE_ISSUE] + 1;
             r = r.max(if lane.iq_active & (STEADY || i >= lane.iq) {
                 iqv
             } else {
                 0
             });
-            let lv = load_l[lane.loads_committed.wrapping_sub(lane.lq) & masks.load];
-            let sv = store_l[lane.stores_committed.wrapping_sub(lane.sq) & masks.store];
+            let lv = load_l[lane.loads_committed.wrapping_sub(lane.lq) & load_m];
+            let sv = store_l[lane.stores_committed.wrapping_sub(lane.sq) & store_m];
             let l_gate = is_load & lane.lq_active & (lane.loads_committed >= lane.lq);
             let s_gate = is_store & lane.sq_active & (lane.stores_committed >= lane.sq);
             r = r.max(if l_gate { lv } else { 0 });
@@ -293,15 +295,15 @@ fn run_range<const K: usize, const STEADY: bool>(
 
             // -- Ready: all sources produced, plus the bypass penalty.
             let mut ready = r + 1;
-            let v1 = complete_l[i.wrapping_sub(d1) & masks.complete] + lane.bypass_extra;
+            let v1 = complete_l[i.wrapping_sub(d1) & complete_m] + lane.bypass_extra;
             ready = ready.max(if d1 != 0 { v1 } else { 0 });
-            let v2 = complete_l[i.wrapping_sub(d2) & masks.complete] + lane.bypass_extra;
+            let v2 = complete_l[i.wrapping_sub(d2) & complete_m] + lane.bypass_extra;
             ready = ready.max(if d2 != 0 { v2 } else { 0 });
 
             // -- Issue, execute, complete.
             let iss = ready.max(if in_window { wslot[LANE_ISSUE] + 1 } else { 0 });
             let comp = iss + latency;
-            complete_l[i & masks.complete] = comp;
+            complete_l[i & complete_m] = comp;
 
             // -- Commit: in order, width per cycle.
             let mut cm = comp + 1;
@@ -309,14 +311,14 @@ fn run_range<const K: usize, const STEADY: bool>(
             cm = cm.max(if in_window { wslot[LANE_COMMIT] + 1 } else { 0 });
             lane.prev_commit = cm;
 
-            pipe_l[i & masks.pipe] = PipeSlot([fe, r, iss, cm]);
+            pipe_l[i & pipe_m] = PipeSlot([fe, r, iss, cm]);
 
             // Branchless memory-op bookkeeping: both rings' next slots
             // are written unconditionally (their capacity exceeds the
             // queue depth, so the next slot is never one a constraint
             // read can select), and only the matching counter advances.
-            load_l[lane.loads_committed & masks.load] = cm;
-            store_l[lane.stores_committed & masks.store] = cm;
+            load_l[lane.loads_committed & load_m] = cm;
+            store_l[lane.stores_committed & store_m] = cm;
             lane.loads_committed += usize::from(is_load);
             lane.stores_committed += usize::from(is_store);
 
