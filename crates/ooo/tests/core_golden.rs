@@ -1,12 +1,12 @@
-//! Golden corpus for the core engine: the full `CoreMetrics` of every
-//! configuration the experiments and the perf gate run — the
+//! Golden corpus for the core engine: the full `CoreMetrics` of the
+//! configurations the experiments and the perf gate run — the
 //! `bench-engines` design grid (width {4, 8} × frontend depth {6, 9} ×
-//! bypass {1, 2}) and the five ipc-validation configs — over the three
-//! `TraceConfig` profiles at two seeds, the CPI stacks of the four
-//! `cpi-sim` configs over the same traces, and two address-driven
-//! memory runs with their cache miss ratios, must match the checked-in
-//! `golden/core.txt` bit for bit. Every run's batched lane must equal
-//! its recorded run too.
+//! bypass {1, 2}) and the five ipc-validation configs — and of two
+//! small-window configs, over the three `TraceConfig` profiles at two
+//! seeds, the CPI stacks of the four `cpi-sim` configs over the same
+//! traces, and two address-driven memory runs with their cache miss
+//! ratios, must match the checked-in `golden/core.txt` bit for bit.
+//! Every run's batched lane must equal its recorded run too.
 //!
 //! The corpus is an oracle of outputs, not a copy of an engine: it was
 //! recorded once from the simulator and changes only by a deliberate
@@ -21,7 +21,7 @@ use cryowire_ooo::{
 };
 
 const GOLDEN: &str = include_str!("golden/core.txt");
-const VERSION: &str = "# cryowire core golden corpus v1";
+const VERSION: &str = "# cryowire core golden corpus v2";
 
 /// Instructions per trace: past every window of the recorded configs
 /// (the largest ROB is 224) many times over, and short enough that the
@@ -38,8 +38,10 @@ fn profiles() -> [(&'static str, TraceConfig); 3] {
     ]
 }
 
-/// The `bench-engines` smoke design grid, then the ipc-validation
-/// configs.
+/// The `bench-engines` smoke design grid, the ipc-validation configs,
+/// then two small windows whose queue depths are powers of two: their
+/// ring capacities have no rounding slack, so a capacity one slot short
+/// changes their metrics, where every other config rounds up past it.
 fn run_configs() -> Vec<(String, CoreConfig)> {
     let mut grid = Vec::new();
     for frontend_depth in [6, 9] {
@@ -65,6 +67,27 @@ fn run_configs() -> Vec<(String, CoreConfig)> {
         (
             "skylake-8w-b2".into(),
             CoreConfig::skylake_8_wide().with_bypass_cycles(2),
+        ),
+        (
+            "tiny".into(),
+            CoreConfig {
+                width: 1,
+                rob: 4,
+                issue_queue: 2,
+                load_queue: 1,
+                store_queue: 1,
+                frontend_depth: 2,
+                bypass_cycles: 1,
+                override_bubble: 1,
+            },
+        ),
+        (
+            "lsq-bound".into(),
+            CoreConfig {
+                load_queue: 2,
+                store_queue: 2,
+                ..CoreConfig::cryocore_4_wide()
+            },
         ),
     ]);
     grid
