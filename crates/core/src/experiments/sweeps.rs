@@ -593,17 +593,20 @@ pub fn coherence_spec() -> SweepSpec {
         )
 }
 
-/// Runs the coherence grid through the harness's batched path: points
+/// Runs the coherence grid through [`Sweep::run_batched`]: points
 /// grouped by engine (the shared trace + fabric content key), each
-/// group evaluated by one [`CoherenceSystem::run_batch_with`] call,
+/// group's unresolved points evaluated by one
+/// [`CoherenceSystem::run_batch_with`] call,
 /// which runs its geometry lanes one after another over a single warm
 /// [`CoherenceScratch`] and the system's directory path table. The
 /// lanes record no commit log (32 bytes per access per lane, held until
 /// the batch returns); each point's `commits` field is the lane's
 /// access count, the log's length on every completed lane.
-/// Journaling, resume, caching and supervision all apply per *point* —
-/// a lane's record is indistinguishable from a scalar evaluation, so a
-/// resumed run re-batches only the missing lanes and the canonical
+/// Journaling, resume, caching and supervision all apply per *point*,
+/// through the same dispatch path as a scalar sweep: a lane's record is
+/// indistinguishable from a scalar evaluation, cache hits are journaled
+/// like evaluated lanes, and a cached or resumed run batches only the
+/// lanes the cache and the journal did not answer, so the canonical
 /// artifact stays byte-identical to an uninterrupted (or scalar) run at
 /// any thread count.
 #[must_use]

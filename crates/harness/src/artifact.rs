@@ -2,7 +2,6 @@
 //! document with per-point parameters, seeds, cache provenance, timing
 //! and the evaluated value.
 
-use crate::cache::CacheStats;
 use crate::spec::Point;
 use crate::supervise::FailureClass;
 use serde_json::Value;
@@ -246,18 +245,6 @@ impl RunArtifact {
     #[must_use]
     pub fn find(&self, pred: impl Fn(&Point) -> bool) -> Option<&PointRecord> {
         self.points.iter().find(|p| pred(&p.params))
-    }
-
-    /// Cache stats implied by the per-point records (quarantines are a
-    /// cache-internal event the artifact does not witness).
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.stats.cache_hits as u64,
-            misses: self.stats.evaluated as u64,
-            quarantined: 0,
-            quarantine_failed: 0,
-        }
     }
 
     /// True if any point's evaluator failed.

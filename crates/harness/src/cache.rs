@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Hit/miss counters of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from memory or disk.
+    /// Sweep lookups answered from memory or disk.
     pub hits: u64,
-    /// Lookups that evaluated the point.
+    /// Sweep lookups that found nothing, so the point was evaluated.
     pub misses: u64,
     /// Corrupt disk entries moved aside and recomputed.
     pub quarantined: u64,
@@ -82,36 +82,32 @@ impl ResultCache {
         self.dir.as_deref()
     }
 
-    /// Looks `key` up (memory, then disk); on miss, evaluates `compute`
-    /// and stores the result. Returns the value and whether it was a
-    /// cache hit.
-    pub fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> Value) -> (Value, bool) {
+    /// A sweep's lookup: memory, then disk, promoting a disk hit into
+    /// memory, and counting the answer as a hit or a miss in
+    /// [`ResultCache::stats`]. On a miss the sweep evaluates the point
+    /// and stores it with [`ResultCache::insert`].
+    pub(crate) fn lookup(&self, key: &str) -> Option<Value> {
         if let Some(v) = self.mem.read().get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (v.clone(), true);
+            return Some(v.clone());
         }
         if let Some(v) = self.read_disk(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.mem.write().insert(key.to_string(), v.clone());
-            return (v, true);
+            return Some(v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = compute();
-        self.mem.write().insert(key.to_string(), v.clone());
-        self.write_disk(key, &v);
-        (v, false)
+        None
     }
 
-    /// Stores `value` under `key` directly (memory and, when
-    /// persistent, disk). Used by batched evaluation, where values are
-    /// computed for whole groups outside [`ResultCache::get_or_compute`]
-    /// and published per point afterwards.
+    /// Stores `value` under `key` (memory and, when persistent, disk).
     pub fn insert(&self, key: &str, value: &Value) {
         self.mem.write().insert(key.to_string(), value.clone());
         self.write_disk(key, value);
     }
 
-    /// Direct lookup without evaluation.
+    /// Direct lookup: neither counted in [`ResultCache::stats`] nor
+    /// promoted from disk into memory.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<Value> {
         if let Some(v) = self.mem.read().get(key) {
@@ -241,18 +237,9 @@ mod tests {
     #[test]
     fn memory_hits_skip_compute() {
         let cache = ResultCache::new();
-        let mut calls = 0;
-        let (v1, hit1) = cache.get_or_compute("aa", || {
-            calls += 1;
-            Value::Int(7)
-        });
-        let (v2, hit2) = cache.get_or_compute("aa", || {
-            calls += 1;
-            Value::Int(8)
-        });
-        assert_eq!((v1, hit1), (Value::Int(7), false));
-        assert_eq!((v2, hit2), (Value::Int(7), true));
-        assert_eq!(calls, 1);
+        assert_eq!(cache.lookup("aa"), None, "a miss: the sweep evaluates");
+        cache.insert("aa", &Value::Int(7));
+        assert_eq!(cache.lookup("aa"), Some(Value::Int(7)));
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -262,23 +249,23 @@ mod tests {
                 quarantine_failed: 0
             }
         );
+        // A direct `get` is neither a hit nor a miss.
+        assert_eq!(cache.get("aa"), Some(Value::Int(7)));
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn disk_survives_cache_instances() {
         let dir = unique_dir("disk");
         let _ = std::fs::remove_dir_all(&dir);
-        {
-            let cache = ResultCache::with_dir(&dir).unwrap();
-            let (_, hit) = cache.get_or_compute("beef", || Value::Float(1.5));
-            assert!(!hit);
-        }
-        {
-            let cache = ResultCache::with_dir(&dir).unwrap();
-            let (v, hit) = cache.get_or_compute("beef", || unreachable!("must hit disk"));
-            assert!(hit);
-            assert_eq!(v, Value::Float(1.5));
-        }
+        ResultCache::with_dir(&dir)
+            .unwrap()
+            .insert("beef", &Value::Float(1.5));
+        let cache = ResultCache::with_dir(&dir).unwrap();
+        assert!(cache.is_empty());
+        assert_eq!(cache.lookup("beef"), Some(Value::Float(1.5)));
+        assert_eq!(cache.len(), 1, "a disk hit is promoted into memory");
+        assert_eq!(cache.stats().hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -287,8 +274,8 @@ mod tests {
         let dir = unique_dir("safety");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::with_dir(&dir).unwrap();
-        let (_, hit) = cache.get_or_compute("../escape", || Value::Bool(true));
-        assert!(!hit);
+        assert_eq!(cache.lookup("../escape"), None);
+        cache.insert("../escape", &Value::Bool(true));
         assert!(!dir.join("../escape.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -298,7 +285,7 @@ mod tests {
         let dir = unique_dir("envelope");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::with_dir(&dir).unwrap();
-        let _ = cache.get_or_compute("abcd", || Value::Int(41));
+        cache.insert("abcd", &Value::Int(41));
         let text = std::fs::read_to_string(dir.join("abcd.json")).unwrap();
         let doc = serde_json::from_str(&text).unwrap();
         assert!(doc.get("crc").and_then(Value::as_str).is_some());
@@ -311,27 +298,29 @@ mod tests {
         let dir = unique_dir("quarantine");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::with_dir(&dir).unwrap();
-        let _ = cache.get_or_compute("cafe", || Value::Int(1));
+        cache.insert("cafe", &Value::Int(1));
         // Simulate a torn write: truncate the entry mid-document.
         let path = dir.join("cafe.json");
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
 
         let fresh = ResultCache::with_dir(&dir).unwrap();
-        let (v, hit) = fresh.get_or_compute("cafe", || Value::Int(2));
-        assert!(!hit, "corrupt entry must not count as a hit");
-        assert_eq!(v, Value::Int(2), "recompute replaces the corrupt value");
+        assert_eq!(
+            fresh.lookup("cafe"),
+            None,
+            "corrupt entry must not count as a hit"
+        );
+        assert_eq!(fresh.stats().misses, 1);
         assert_eq!(fresh.stats().quarantined, 1);
         assert!(
             dir.join("cafe.json.corrupt").exists(),
             "corrupt entry kept for post-mortem"
         );
-        // The recomputed entry is valid again.
-        let (v, hit) = ResultCache::with_dir(&dir)
-            .unwrap()
-            .get_or_compute("cafe", || unreachable!("entry was rewritten"));
-        assert!(hit);
-        assert_eq!(v, Value::Int(2));
+        // The recomputed value replaces the corrupt entry and is valid
+        // again.
+        fresh.insert("cafe", &Value::Int(2));
+        let later = ResultCache::with_dir(&dir).unwrap();
+        assert_eq!(later.lookup("cafe"), Some(Value::Int(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -341,7 +330,7 @@ mod tests {
         let dir = unique_dir("rename-fail");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::with_dir(&dir).unwrap();
-        let _ = cache.get_or_compute("feed", || Value::Int(1));
+        cache.insert("feed", &Value::Int(1));
         let path = dir.join("feed.json");
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
@@ -352,10 +341,9 @@ mod tests {
             u64::MAX,
         );
         let fresh = ResultCache::with_dir(&dir).unwrap();
-        let (v, hit) = fresh.get_or_compute("feed", || Value::Int(2));
+        let found = fresh.lookup("feed");
         crate::failpoint::reset();
-        assert!(!hit);
-        assert_eq!(v, Value::Int(2));
+        assert_eq!(found, None);
         let stats = fresh.stats();
         assert_eq!(stats.quarantined, 1);
         assert_eq!(stats.quarantine_failed, 1);
@@ -363,14 +351,13 @@ mod tests {
             !dir.join("feed.json.corrupt").exists(),
             "rename failed, so no post-mortem copy"
         );
-        // The recompute rewrote a valid entry under the live key; a
+        assert!(!path.exists(), "the corrupt entry was deleted");
+        // The recompute rewrites a valid entry under the live key; a
         // later cache instance must hit it — the corrupt bytes can
         // never be re-read because the fallback deleted them first.
-        let (v, hit) = ResultCache::with_dir(&dir)
-            .unwrap()
-            .get_or_compute("feed", || unreachable!("entry was rewritten"));
-        assert!(hit);
-        assert_eq!(v, Value::Int(2));
+        fresh.insert("feed", &Value::Int(2));
+        let later = ResultCache::with_dir(&dir).unwrap();
+        assert_eq!(later.lookup("feed"), Some(Value::Int(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -385,14 +372,11 @@ mod tests {
             crate::failpoint::FailAction::Io("No space left on device (os error 28)".into()),
             1,
         );
-        let (_, hit) = cache.get_or_compute("aaaa", || Value::Int(9));
+        cache.insert("aaaa", &Value::Int(9));
         crate::failpoint::reset();
-        assert!(!hit);
         assert!(!dir.join("aaaa.json").exists(), "persist was dropped");
         // Memory still serves the value.
-        let (v, hit) = cache.get_or_compute("aaaa", || unreachable!());
-        assert!(hit);
-        assert_eq!(v, Value::Int(9));
+        assert_eq!(cache.lookup("aaaa"), Some(Value::Int(9)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -408,14 +392,16 @@ mod tests {
                 crate::failpoint::FailAction::ShortWrite(10),
                 1,
             );
-            let _ = cache.get_or_compute("bbbb", || Value::Int(3));
+            cache.insert("bbbb", &Value::Int(3));
             crate::failpoint::reset();
             assert!(dir.join("bbbb.json").exists(), "torn entry landed");
         }
         let fresh = ResultCache::with_dir(&dir).unwrap();
-        let (v, hit) = fresh.get_or_compute("bbbb", || Value::Int(4));
-        assert!(!hit, "torn entry must not read as valid");
-        assert_eq!(v, Value::Int(4));
+        assert_eq!(
+            fresh.lookup("bbbb"),
+            None,
+            "torn entry must not read as valid"
+        );
         assert_eq!(fresh.stats().quarantined, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -425,16 +411,14 @@ mod tests {
         let dir = unique_dir("crc");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::with_dir(&dir).unwrap();
-        let _ = cache.get_or_compute("dead", || Value::Int(5));
+        cache.insert("dead", &Value::Int(5));
         // Valid JSON, wrong checksum: a flipped payload bit.
         let path = dir.join("dead.json");
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace(": 5}", ": 6}")).unwrap();
 
         let fresh = ResultCache::with_dir(&dir).unwrap();
-        let (v, hit) = fresh.get_or_compute("dead", || Value::Int(5));
-        assert!(!hit);
-        assert_eq!(v, Value::Int(5));
+        assert_eq!(fresh.lookup("dead"), None);
         assert_eq!(fresh.stats().quarantined, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -14,6 +14,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A cooperative cancellation flag shared between a dispatcher and its
@@ -134,39 +135,59 @@ impl Executor {
         G: Fn(usize, &I) -> K,
         F: Fn(&K, &[(usize, &I)]) -> Vec<T> + Sync,
     {
-        // Group members keep enumeration order within their group, and
-        // groups keep first-occurrence order — both independent of the
-        // thread count.
-        let mut groups: Vec<(K, Vec<(usize, &I)>)> = Vec::new();
-        let mut index: HashMap<K, usize> = HashMap::new();
-        for (i, item) in items.iter().enumerate() {
-            let key = group_of(i, item);
-            let gi = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key, Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push((i, item));
-        }
-        let results = self.run(&groups, |_, (key, members)| {
-            let out = f(key, members);
+        let (order, groups) = partition(items, group_of);
+        let members: Vec<(usize, &I)> = order.iter().map(|&i| (i, &items[i])).collect();
+        let results = self.run(&groups, |_, (key, range)| {
+            let out = f(key, &members[range.clone()]);
             assert_eq!(
                 out.len(),
-                members.len(),
+                range.len(),
                 "grouped evaluator must return one result per member"
             );
             out
         });
         let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-        for ((_, members), values) in groups.iter().zip(results) {
-            for (&(i, _), value) in members.iter().zip(values) {
-                slots[i] = Some(value);
-            }
+        for (&i, value) in order.iter().zip(results.into_iter().flatten()) {
+            slots[i] = Some(value);
         }
         slots
             .into_iter()
             .map(|slot| slot.expect("every item belongs to a group"))
             .collect()
     }
+}
+
+/// Groups `items` by `group_of`: returns the item indices reordered
+/// group by group, and every group's key and index range in that
+/// order. Groups keep first-occurrence order and members keep item
+/// order, so the grouping is independent of the thread count.
+pub(crate) fn partition<I, K>(
+    items: &[I],
+    group_of: impl Fn(usize, &I) -> K,
+) -> (Vec<usize>, Vec<(K, Range<usize>)>)
+where
+    K: Eq + Hash + Clone,
+{
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
+    for (i, item) in items.iter().enumerate() {
+        let key = group_of(i, item);
+        let g = *index.entry(key.clone()).or_insert(groups.len());
+        if g == groups.len() {
+            groups.push((key, Vec::new()));
+        }
+        groups[g].1.push(i);
+    }
+    let mut order = Vec::with_capacity(items.len());
+    let ranges = groups
+        .into_iter()
+        .map(|(key, members)| {
+            let start = order.len();
+            order.extend(members);
+            (key, start..order.len())
+        })
+        .collect();
+    (order, ranges)
 }
 
 impl Default for Executor {
