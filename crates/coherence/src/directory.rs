@@ -15,9 +15,9 @@
 //! trace's interned line index, with sharers as a `u128` bitmask (the
 //! engine caps at 128 cores); the fault-free routed-latency table is
 //! built once per [`CoherenceSystem`](crate::CoherenceSystem) and
-//! shared across runs and batch lanes, so a fault-free run pays zero
-//! path computations — only fault epochs rebuild the table, in place,
-//! into the scratch's cached epoch buffer.
+//! shared across its runs, so a fault-free run pays zero path
+//! computations — only fault epochs rebuild the table, in place, into
+//! the scratch's cached epoch buffer.
 //!
 //! The engine is MESI-only: Dragon's word-update broadcasts have no
 //! point-to-point analogue worth modelling here.
@@ -36,9 +36,10 @@ use crate::snoop::{verify_all_line_invariants, verify_line_invariant};
 use crate::timing::DirectoryTiming;
 use crate::trace::AccessTrace;
 
-/// The directory-mesh coherence engine.
+/// The directory-mesh coherence engine, run through
+/// [`CoherenceSystem::run`](crate::CoherenceSystem::run).
 #[derive(Debug, Clone, Copy)]
-pub struct DirectoryEngine {
+pub(crate) struct DirectoryEngine {
     config: CoherenceConfig,
 }
 
@@ -61,7 +62,7 @@ impl DirectoryEngine {
     ///
     /// [`CoherenceError::InvalidConfig`] for Dragon (MESI only);
     /// propagates geometry validation.
-    pub fn new(config: CoherenceConfig) -> Result<Self, CoherenceError> {
+    pub(crate) fn new(config: CoherenceConfig) -> Result<Self, CoherenceError> {
         if config.protocol == Protocol::Dragon {
             return Err(CoherenceError::InvalidConfig {
                 reason: "the directory engine supports MESI only".to_string(),
@@ -71,23 +72,10 @@ impl DirectoryEngine {
         Ok(DirectoryEngine { config })
     }
 
-    /// Runs `trace` over `network` with a fresh scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`CoherenceError::Stalled`] if the watchdog fires.
-    pub fn run(
-        &self,
-        trace: &AccessTrace,
-        network: &RouterNetwork,
-        clock_ghz: f64,
-        mem: &MemoryDesign,
-    ) -> Result<RunOutcome, CoherenceError> {
-        let mut scratch = CoherenceScratch::new();
-        self.run_with_scratch(trace, network, clock_ghz, mem, None, &mut scratch)
-    }
-
-    /// Runs `trace` under an optional fault schedule, reusing `scratch`.
+    /// Runs `trace` over `network` under an optional fault schedule,
+    /// reusing `scratch`. A fault-free run prices through `base`, the
+    /// system's amortized fault-free latency table; a fault schedule
+    /// rebuilds the scratch's cached epoch table in place instead.
     ///
     /// # Errors
     ///
@@ -95,25 +83,8 @@ impl DirectoryEngine {
     /// than the mesh has nodes (each core is attached to one node);
     /// [`CoherenceError::Stalled`] when faults sever every route a
     /// transaction needs or the watchdog budget runs out.
-    pub fn run_with_scratch(
-        &self,
-        trace: &AccessTrace,
-        network: &RouterNetwork,
-        clock_ghz: f64,
-        mem: &MemoryDesign,
-        schedule: Option<&FaultSchedule>,
-        scratch: &mut CoherenceScratch,
-    ) -> Result<RunOutcome, CoherenceError> {
-        self.run_with_scratch_base(trace, network, clock_ghz, mem, schedule, scratch, None)
-    }
-
-    /// Like [`run_with_scratch`](Self::run_with_scratch), but with an
-    /// optional pre-built fault-free latency table (the
-    /// [`CoherenceSystem`](crate::CoherenceSystem) amortization):
-    /// fault-free runs use `base` directly; a fault schedule rebuilds
-    /// the scratch's cached epoch table in place instead.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_with_scratch_base(
+    pub(crate) fn run(
         &self,
         trace: &AccessTrace,
         network: &RouterNetwork,
@@ -121,7 +92,7 @@ impl DirectoryEngine {
         mem: &MemoryDesign,
         schedule: Option<&FaultSchedule>,
         scratch: &mut CoherenceScratch,
-        base: Option<&DirectoryTiming>,
+        base: &DirectoryTiming,
     ) -> Result<RunOutcome, CoherenceError> {
         // Detach the cached epoch buffer so `base` and the loop's
         // `&mut scratch` borrows never alias it; restored afterwards so
@@ -143,21 +114,20 @@ impl DirectoryEngine {
         mem: &MemoryDesign,
         schedule: Option<&FaultSchedule>,
         scratch: &mut CoherenceScratch,
-        base: Option<&DirectoryTiming>,
+        base: &DirectoryTiming,
         epoch: &mut Option<DirectoryTiming>,
     ) -> Result<RunOutcome, CoherenceError> {
         let cores = trace.cores();
         // A fault schedule prices through the rebuilt-in-place epoch
-        // table; a fault-free run with a system-provided base table
-        // never computes a path at all.
-        let use_epoch = schedule.is_some() || base.is_none();
+        // table; a fault-free run never computes a path at all.
+        let use_epoch = schedule.is_some();
         if use_epoch {
             rebuild_timing_at(epoch, network, mem, clock_ghz, schedule, 0)?;
         }
         let nodes = if use_epoch {
             epoch.as_ref().expect("epoch timing built").nodes()
         } else {
-            base.expect("base timing provided").nodes()
+            base.nodes()
         };
         if cores > nodes || cores > 128 {
             return Err(CoherenceError::InvalidConfig {
@@ -205,7 +175,7 @@ impl DirectoryEngine {
             let timing: &DirectoryTiming = if use_epoch {
                 epoch.as_ref().expect("epoch timing built")
             } else {
-                base.expect("base timing provided")
+                base
             };
 
             // 1. Deliver due completions.

@@ -7,15 +7,20 @@
 //! access at a time; this crate closes the loop with a **cycle-level**
 //! multi-core engine where those prices emerge from contention:
 //!
-//! - [`SnoopEngine`] — MESI *and* Dragon (update-based) over an
-//!   arbitrated broadcast bus. Per-core blocking caches with one MSHR
-//!   each, a [`MatrixArbiter`](cryowire_noc::MatrixArbiter) per
-//!   interleaving way, snoop transitions at grant time (the bus
-//!   serialization point), cache-to-cache transfers, and delayed
-//!   completions priced by the bus's own phase decomposition.
-//! - [`DirectoryEngine`] — MESI over a routed mesh, with per-pair
-//!   message latencies from the network's actual paths, owner
-//!   forwarding and parallel invalidation fan-out at each line's home.
+//! - [`CoherenceSystem`] — a fabric and a memory design with one
+//!   [`run`](CoherenceSystem::run) call, which takes the engine
+//!   configuration per run and picks the engine by fabric:
+//!   - on a bus, the [`snoop`](mod@snoop) engine: MESI *and* Dragon
+//!     (update-based) over an arbitrated broadcast bus. Per-core
+//!     blocking caches with one MSHR each, a
+//!     [`MatrixArbiter`](cryowire_noc::MatrixArbiter) per interleaving
+//!     way, snoop transitions at grant time (the bus serialization
+//!     point), cache-to-cache transfers, and delayed completions priced
+//!     by the bus's own phase decomposition;
+//!   - on a mesh, the [`directory`](mod@directory) engine: MESI over a
+//!     routed mesh, with per-pair message latencies from the network's
+//!     actual paths, owner forwarding and parallel invalidation fan-out
+//!     at each line's home.
 //! - [`TraceGenConfig`] — deterministic sharing-pattern traces
 //!   (barrier-heavy, producer–consumer, private streaming) seeded from
 //!   the calibrated PARSEC workload profiles.
@@ -48,12 +53,11 @@ pub mod baseline;
 #[cfg(any(test, feature = "reference-sim"))]
 pub use baseline::{verify_invariants, BaselineScratch};
 pub use cache::{CacheGeometry, LineState, PrivateCache};
-pub use directory::DirectoryEngine;
 pub use engine::{
     CoherenceConfig, CoherenceScratch, CoherenceSystem, Protocol, RunOutcome, SystemFabric,
 };
 pub use error::CoherenceError;
 pub use metrics::{CoherenceMetrics, CommitEntry};
-pub use snoop::{verify_all_line_invariants, verify_line_invariant, SnoopEngine, SnoopFabric};
+pub use snoop::{verify_all_line_invariants, verify_line_invariant, SnoopFabric};
 pub use timing::{BusTiming, DirectoryTiming, LINE_BEATS};
 pub use trace::{AccessTrace, CoreAccess, SharingPattern, TraceGenConfig};

@@ -93,9 +93,10 @@ impl SnoopFabric<'_> {
     }
 }
 
-/// The snooping-bus coherence engine.
+/// The snooping-bus coherence engine, run through
+/// [`CoherenceSystem::run`](crate::CoherenceSystem::run).
 #[derive(Debug, Clone, Copy)]
-pub struct SnoopEngine {
+pub(crate) struct SnoopEngine {
     config: CoherenceConfig,
 }
 
@@ -105,34 +106,20 @@ impl SnoopEngine {
     /// # Errors
     ///
     /// Propagates geometry validation.
-    pub fn new(config: CoherenceConfig) -> Result<Self, CoherenceError> {
+    pub(crate) fn new(config: CoherenceConfig) -> Result<Self, CoherenceError> {
         config.geometry.validate()?;
         Ok(SnoopEngine { config })
     }
 
-    /// Runs `trace` over `fabric` with a fresh scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`CoherenceError::Stalled`] if the watchdog fires.
-    pub fn run(
-        &self,
-        trace: &crate::trace::AccessTrace,
-        fabric: SnoopFabric<'_>,
-        mem: &MemoryDesign,
-    ) -> Result<RunOutcome, CoherenceError> {
-        let mut scratch = CoherenceScratch::new();
-        self.run_with_scratch(trace, fabric, mem, None, &mut scratch)
-    }
-
-    /// Runs `trace` under an optional fault schedule, reusing `scratch`.
+    /// Runs `trace` over `fabric` under an optional fault schedule,
+    /// reusing `scratch`.
     ///
     /// # Errors
     ///
     /// [`CoherenceError::Stalled`] if the watchdog fires (e.g. the
     /// arbiter is stalled beyond the budget).
     #[allow(clippy::too_many_lines)]
-    pub fn run_with_scratch(
+    pub(crate) fn run(
         &self,
         trace: &crate::trace::AccessTrace,
         fabric: SnoopFabric<'_>,

@@ -13,7 +13,7 @@ use cryowire_coherence::baseline::{self, BaselineScratch};
 use cryowire_coherence::reference::{replay_directory, replay_snooping};
 use cryowire_coherence::{
     AccessTrace, CacheGeometry, CoherenceConfig, CoherenceMetrics, CoherenceScratch,
-    CoherenceSystem, DirectoryEngine, Protocol, RunOutcome, SnoopEngine, SnoopFabric, SystemFabric,
+    CoherenceSystem, Protocol, RunOutcome, SnoopFabric, SystemFabric,
 };
 use cryowire_device::Temperature;
 use cryowire_faults::FaultPlan;
@@ -63,19 +63,35 @@ fn geometries() -> [CacheGeometry; 3] {
     ]
 }
 
-fn run_snoop(protocol: Protocol, geometry: CacheGeometry, trace: &AccessTrace) -> RunOutcome {
+/// Snooping over the 64-core 77 K CryoBus.
+fn cryobus_system() -> CoherenceSystem {
     let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
-    SnoopEngine::new(config(protocol, geometry))
-        .expect("valid config")
-        .run(trace, SnoopFabric::CryoBus(&bus), &MemoryDesign::mem_77k())
+    CoherenceSystem::snooping(SystemFabric::CryoBus(bus), MemoryDesign::mem_77k())
+        .expect("snooping system builds")
+}
+
+/// A directory over the 64-node 77 K mesh at 5.44 GHz.
+fn mesh_system() -> CoherenceSystem {
+    let mesh = RouterNetwork::mesh64(RouterClass::OneCycle, Temperature::liquid_nitrogen());
+    CoherenceSystem::directory(mesh, 5.44, MemoryDesign::mem_77k())
+        .expect("directory system builds")
+}
+
+fn run_snoop(protocol: Protocol, geometry: CacheGeometry, trace: &AccessTrace) -> RunOutcome {
+    cryobus_system()
+        .run(
+            trace,
+            &config(protocol, geometry),
+            None,
+            &mut CoherenceScratch::new(),
+        )
         .expect("clean run completes")
 }
 
 fn run_directory(geometry: CacheGeometry, trace: &AccessTrace) -> RunOutcome {
-    let mesh = RouterNetwork::mesh64(RouterClass::OneCycle, Temperature::liquid_nitrogen());
-    DirectoryEngine::new(config(Protocol::Mesi, geometry))
-        .expect("valid config")
-        .run(trace, &mesh, 5.44, &MemoryDesign::mem_77k())
+    let config = config(Protocol::Mesi, geometry);
+    mesh_system()
+        .run(trace, &config, None, &mut CoherenceScratch::new())
         .expect("clean run completes")
 }
 
@@ -185,16 +201,9 @@ proptest! {
                 cryowire_faults::FaultKind::RouterStall { resource: 0, extra_cycles: stall },
             ))
             .schedule(1_000_000);
-        let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
-        let engine = SnoopEngine::new(config(Protocol::Mesi, no_evict())).expect("valid");
-        let mut scratch = cryowire_coherence::CoherenceScratch::new();
-        match engine.run_with_scratch(
-            &trace,
-            SnoopFabric::CryoBus(&bus),
-            &MemoryDesign::mem_77k(),
-            Some(&schedule),
-            &mut scratch,
-        ) {
+        let config = config(Protocol::Mesi, no_evict());
+        let mut scratch = CoherenceScratch::new();
+        match cryobus_system().run(&trace, &config, Some(&schedule), &mut scratch) {
             Ok(out) => {
                 assert_metrics_consistent(&out.metrics, trace.total_accesses());
                 prop_assert!(replay_snooping(&out.commits, cores).is_ok());
@@ -213,15 +222,14 @@ fn runs_are_deterministic_across_scratch_reuse() {
         .map(|i| ((i % 7) as u8, (i * 13 % 24) as u8, i % 3 == 0))
         .collect();
     let trace = mk_trace(&raw, 6);
-    let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
-    let mem = MemoryDesign::mem_77k();
-    let engine = SnoopEngine::new(config(Protocol::Mesi, no_evict())).expect("valid");
-    let mut scratch = cryowire_coherence::CoherenceScratch::new();
-    let first = engine
-        .run_with_scratch(&trace, SnoopFabric::CryoBus(&bus), &mem, None, &mut scratch)
+    let system = cryobus_system();
+    let config = config(Protocol::Mesi, no_evict());
+    let mut scratch = CoherenceScratch::new();
+    let first = system
+        .run(&trace, &config, None, &mut scratch)
         .expect("run");
-    let second = engine
-        .run_with_scratch(&trace, SnoopFabric::CryoBus(&bus), &mem, None, &mut scratch)
+    let second = system
+        .run(&trace, &config, None, &mut scratch)
         .expect("reused scratch run");
     assert_eq!(first, second, "scratch reuse must not change results");
     let fresh = run_snoop(Protocol::Mesi, no_evict(), &trace);
@@ -278,16 +286,11 @@ proptest! {
         let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
         let mem = MemoryDesign::mem_77k();
         let schedule = faulty.then(|| mk_schedule(0, 1, stall, start));
+        let system = cryobus_system();
         for protocol in [Protocol::Mesi, Protocol::Dragon] {
             let cfg = config(protocol, geometry);
             let mut scratch = CoherenceScratch::new();
-            let opt = SnoopEngine::new(cfg).expect("valid").run_with_scratch(
-                &trace,
-                SnoopFabric::CryoBus(&bus),
-                &mem,
-                schedule.as_ref(),
-                &mut scratch,
-            );
+            let opt = system.run(&trace, &cfg, schedule.as_ref(), &mut scratch);
             let mut bscratch = BaselineScratch::new();
             let base = baseline::run_snooping(
                 cfg,
@@ -319,18 +322,10 @@ proptest! {
         let t77 = Temperature::liquid_nitrogen();
         let mem = MemoryDesign::mem_77k();
         let schedule = faulty.then(|| mk_schedule(0, 1, stall, start));
-        // Optimized side goes through CoherenceSystem so the shared
-        // base table (fault-free) and epoch rebuild (faulted) are both
-        // what production runs use.
-        let system = CoherenceSystem::directory(
-            RouterNetwork::mesh64(RouterClass::OneCycle, t77),
-            5.44,
-            mem,
-            cfg,
-        )
-        .expect("directory system builds");
+        // The system's shared base table (fault-free) and its in-place
+        // epoch rebuild (faulted) are both what production runs use.
         let mut scratch = CoherenceScratch::new();
-        let opt = system.run_with(&trace, schedule.as_ref(), &mut scratch);
+        let opt = mesh_system().run(&trace, &cfg, schedule.as_ref(), &mut scratch);
         let mesh = RouterNetwork::mesh64(RouterClass::OneCycle, t77);
         let mut bscratch = BaselineScratch::new();
         let base = baseline::run_directory(
@@ -345,9 +340,11 @@ proptest! {
         prop_assert_eq!(&opt, &base, "directory diverged from the baseline");
     }
 
-    /// Lane batches (sequential lanes over one shared scratch) are
-    /// bit-identical to running each lane scalar with a fresh scratch — any lane mix of protocols and
-    /// geometries, on both fabrics, with and without a fault schedule.
+    /// Lane batches (runs of one system one after another over one
+    /// shared scratch) are bit-identical to running each lane on a
+    /// fresh system with a fresh scratch — any lane mix of protocols
+    /// and geometries, on both fabrics, with and without a fault
+    /// schedule.
     #[test]
     fn batched_lanes_are_bit_identical_to_scalar_runs(
         raw in collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..200),
@@ -358,64 +355,27 @@ proptest! {
         start in 0u64..2_000,
     ) {
         let trace = mk_trace(&raw, cores);
-        let t77 = Temperature::liquid_nitrogen();
         let schedule = faulty.then(|| mk_schedule(0, 1, stall, start));
-
-        // Snooping: lanes vary geometry AND protocol.
-        let lanes: Vec<CoherenceConfig> = lane_picks
-            .iter()
-            .map(|&(g, dragon)| {
-                config(
-                    if dragon { Protocol::Dragon } else { Protocol::Mesi },
-                    geometries()[g],
-                )
-            })
-            .collect();
-        let system = CoherenceSystem::snooping(
-            SystemFabric::CryoBus(CryoBus::new(64, t77)),
-            MemoryDesign::mem_77k(),
-            lanes[0],
-        )
-        .expect("snooping system builds");
         let mut scratch = CoherenceScratch::new();
-        let batch = system.run_batch_with(&trace, &lanes, schedule.as_ref(), &mut scratch);
-        prop_assert_eq!(batch.len(), lanes.len());
-        for (i, cfg) in lanes.iter().enumerate() {
-            let lane_system = CoherenceSystem::snooping(
-                SystemFabric::CryoBus(CryoBus::new(64, t77)),
-                MemoryDesign::mem_77k(),
-                *cfg,
-            )
-            .expect("lane system builds");
-            let mut fresh = CoherenceScratch::new();
-            let scalar = lane_system.run_with(&trace, schedule.as_ref(), &mut fresh);
-            prop_assert_eq!(&batch[i], &scalar, "snoop lane {} diverged from scalar", i);
-        }
 
-        // Directory: lanes vary geometry (MESI only).
-        let dir_lanes: Vec<CoherenceConfig> = lane_picks
-            .iter()
-            .map(|&(g, _)| config(Protocol::Mesi, geometries()[g]))
-            .collect();
-        let dir_system = CoherenceSystem::directory(
-            RouterNetwork::mesh64(RouterClass::OneCycle, t77),
-            5.44,
-            MemoryDesign::mem_77k(),
-            dir_lanes[0],
-        )
-        .expect("directory system builds");
-        let batch = dir_system.run_batch_with(&trace, &dir_lanes, schedule.as_ref(), &mut scratch);
-        for (i, cfg) in dir_lanes.iter().enumerate() {
-            let lane_system = CoherenceSystem::directory(
-                RouterNetwork::mesh64(RouterClass::OneCycle, t77),
-                5.44,
-                MemoryDesign::mem_77k(),
-                *cfg,
-            )
-            .expect("lane system builds");
-            let mut fresh = CoherenceScratch::new();
-            let scalar = lane_system.run_with(&trace, schedule.as_ref(), &mut fresh);
-            prop_assert_eq!(&batch[i], &scalar, "directory lane {} diverged from scalar", i);
+        // Snooping: lanes vary geometry AND protocol. Directory: lanes
+        // vary geometry (MESI only).
+        for (fabric, system, build) in [
+            ("snoop", cryobus_system(), cryobus_system as fn() -> CoherenceSystem),
+            ("directory", mesh_system(), mesh_system),
+        ] {
+            for (i, &(g, dragon)) in lane_picks.iter().enumerate() {
+                let protocol = if dragon && fabric == "snoop" {
+                    Protocol::Dragon
+                } else {
+                    Protocol::Mesi
+                };
+                let cfg = config(protocol, geometries()[g]);
+                let lane = system.run(&trace, &cfg, schedule.as_ref(), &mut scratch);
+                let mut fresh = CoherenceScratch::new();
+                let scalar = build().run(&trace, &cfg, schedule.as_ref(), &mut fresh);
+                prop_assert_eq!(&lane, &scalar, "{} lane {} diverged from scalar", fabric, i);
+            }
         }
     }
 }

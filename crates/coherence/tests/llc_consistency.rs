@@ -56,7 +56,7 @@ fn run_trace(
 ) -> CoherenceMetrics {
     let mut scratch = CoherenceScratch::new();
     system
-        .run_with(trace, None, &mut scratch)
+        .run(trace, &config(), None, &mut scratch)
         .expect("run completes")
         .metrics
 }
@@ -71,24 +71,16 @@ fn avg_miss_cycles(m: &CoherenceMetrics) -> f64 {
 fn cryobus_system() -> (CoherenceSystem, f64) {
     let bus = CryoBus::new(64, t77());
     let clock = bus.clock_ghz();
-    let system = CoherenceSystem::snooping(
-        SystemFabric::CryoBus(bus),
-        MemoryDesign::mem_77k(),
-        config(),
-    )
-    .expect("valid");
+    let system = CoherenceSystem::snooping(SystemFabric::CryoBus(bus), MemoryDesign::mem_77k())
+        .expect("valid");
     (system, clock)
 }
 
 fn shared_bus_system() -> (CoherenceSystem, f64) {
     let bus = SharedBus::new(64, t77());
     let clock = bus.clock_ghz();
-    let system = CoherenceSystem::snooping(
-        SystemFabric::SharedBus(bus),
-        MemoryDesign::mem_77k(),
-        config(),
-    )
-    .expect("valid");
+    let system = CoherenceSystem::snooping(SystemFabric::SharedBus(bus), MemoryDesign::mem_77k())
+        .expect("valid");
     (system, clock)
 }
 
@@ -97,7 +89,6 @@ fn mesh_system() -> (CoherenceSystem, f64) {
         RouterNetwork::mesh64(RouterClass::OneCycle, t77()),
         5.44,
         MemoryDesign::mem_77k(),
-        config(),
     )
     .expect("valid");
     (system, 5.44)

@@ -30,7 +30,6 @@ fn snoop_system() -> CoherenceSystem {
     CoherenceSystem::snooping(
         SystemFabric::CryoBus(CryoBus::new(64, Temperature::liquid_nitrogen())),
         MemoryDesign::mem_77k(),
-        config(),
     )
     .expect("valid system")
 }
@@ -40,7 +39,6 @@ fn directory_system() -> CoherenceSystem {
         RouterNetwork::mesh64(RouterClass::OneCycle, Temperature::liquid_nitrogen()),
         5.44,
         MemoryDesign::mem_77k(),
-        config(),
     )
     .expect("valid system")
 }
@@ -48,7 +46,7 @@ fn directory_system() -> CoherenceSystem {
 fn run(system: &CoherenceSystem, schedule: Option<&FaultSchedule>) -> RunOutcome {
     let mut scratch = CoherenceScratch::new();
     system
-        .run_with(&trace(), schedule, &mut scratch)
+        .run(&trace(), &config(), schedule, &mut scratch)
         .expect("run completes")
 }
 
@@ -123,16 +121,11 @@ fn bus_way_stall_slows_but_completes() {
 
 #[test]
 fn pathological_stall_trips_the_watchdog_typed() {
-    let system = CoherenceSystem::snooping(
-        SystemFabric::CryoBus(CryoBus::new(64, Temperature::liquid_nitrogen())),
-        MemoryDesign::mem_77k(),
-        CoherenceConfig {
-            geometry: CacheGeometry::no_evict(2048, 64),
-            watchdog_cycles_per_access: 1,
-            ..CoherenceConfig::default()
-        },
-    )
-    .expect("valid system");
+    let system = snoop_system();
+    let config = CoherenceConfig {
+        watchdog_cycles_per_access: 1,
+        ..config()
+    };
     let schedule = FaultPlan::new(3)
         .event(FaultEvent::permanent(
             0,
@@ -144,7 +137,7 @@ fn pathological_stall_trips_the_watchdog_typed() {
         .schedule(u64::MAX / 2);
     let mut scratch = CoherenceScratch::new();
     let err = system
-        .run_with(&trace(), Some(&schedule), &mut scratch)
+        .run(&trace(), &config, Some(&schedule), &mut scratch)
         .expect_err("a 50M-cycle grant stall must trip the watchdog");
     match err {
         CoherenceError::Stalled {
@@ -174,7 +167,7 @@ fn severed_directory_home_stalls_typed_not_hung() {
         .schedule(u64::MAX / 2);
     let mut scratch = CoherenceScratch::new();
     let err = system
-        .run_with(&trace(), Some(&schedule), &mut scratch)
+        .run(&trace(), &config(), Some(&schedule), &mut scratch)
         .expect_err("severed core must stall the run");
     assert!(
         matches!(err, CoherenceError::Stalled { pending, .. } if pending > 0),
@@ -214,19 +207,13 @@ fn dragon_and_directory_survive_the_same_fault_plan() {
         .htree_segment_dead(1, 2)
         .router_stalls(2, &[0, 1, 2, 3], 16)
         .schedule(10_000_000);
-    let dragon = CoherenceSystem::snooping(
-        SystemFabric::CryoBus(CryoBus::new(64, Temperature::liquid_nitrogen())),
-        MemoryDesign::mem_77k(),
-        CoherenceConfig {
-            protocol: Protocol::Dragon,
-            geometry: CacheGeometry::no_evict(2048, 64),
-            ..CoherenceConfig::default()
-        },
-    )
-    .expect("valid dragon system");
+    let dragon = CoherenceConfig {
+        protocol: Protocol::Dragon,
+        ..config()
+    };
     let mut scratch = CoherenceScratch::new();
-    for system in [&dragon, &directory_system()] {
-        match system.run_with(&trace(), Some(&schedule), &mut scratch) {
+    for (system, config) in [(snoop_system(), dragon), (directory_system(), config())] {
+        match system.run(&trace(), &config, Some(&schedule), &mut scratch) {
             Ok(out) => {
                 assert_eq!(out.metrics.accesses, trace().total_accesses());
                 assert_eq!(out.metrics.hits + out.metrics.misses, out.metrics.accesses);
@@ -234,5 +221,45 @@ fn dragon_and_directory_survive_the_same_fault_plan() {
             Err(CoherenceError::Stalled { .. }) => {}
             Err(other) => panic!("unexpected error: {other}"),
         }
+    }
+}
+
+#[test]
+fn bad_configs_fail_typed() {
+    // A mesh cannot carry snooping broadcasts: rejected at construction.
+    let mesh = SystemFabric::Mesh {
+        network: RouterNetwork::mesh64(RouterClass::OneCycle, Temperature::liquid_nitrogen()),
+        clock_ghz: 5.44,
+    };
+    assert!(matches!(
+        CoherenceSystem::snooping(mesh, MemoryDesign::mem_77k()),
+        Err(CoherenceError::InvalidConfig { .. })
+    ));
+    // The directory engine is MESI-only, and every engine validates
+    // its geometry: both are properties of the run's config.
+    let dragon = CoherenceConfig {
+        protocol: Protocol::Dragon,
+        ..config()
+    };
+    let zero_assoc = CoherenceConfig {
+        geometry: CacheGeometry {
+            assoc: 0,
+            ..config().geometry
+        },
+        ..config()
+    };
+    let mut scratch = CoherenceScratch::new();
+    for (system, config) in [
+        (directory_system(), dragon),
+        (directory_system(), zero_assoc),
+        (snoop_system(), zero_assoc),
+    ] {
+        let err = system
+            .run(&trace(), &config, None, &mut scratch)
+            .expect_err("a bad config must not run");
+        assert!(
+            matches!(err, CoherenceError::InvalidConfig { .. }),
+            "{config:?}: {err}"
+        );
     }
 }

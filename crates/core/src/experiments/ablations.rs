@@ -17,10 +17,11 @@
 //!   footprint ([`ablation_core_engine`]).
 
 use cryowire_device::{MosfetModel, ResistivityModel, Temperature, Wire, WireClass};
+use cryowire_faults::FaultSchedule;
 use cryowire_floorplan::Floorplan;
 use cryowire_noc::{
-    BusKind, FlitConfig, FlitNetwork, RouterClass, RouterNetwork, SharedBus, SimConfig, Simulator,
-    TrafficPattern,
+    BusKind, FlitConfig, FlitNetwork, RouterClass, RouterNetwork, SharedBus, SimConfig, SimScratch,
+    Simulator, TrafficPattern,
 };
 use cryowire_pipeline::{sweep_depths, CriticalPathModel, DepthPoint, Superpipeliner};
 
@@ -130,7 +131,13 @@ pub fn ablation_interleaving() -> InterleavingAblation {
         .map(|&ways| {
             let bus = CryoBus::try_new(64, t77, ways).expect("valid CryoBus");
             let r = sim
-                .run(&bus, TrafficPattern::UniformRandom, 0.013)
+                .run(
+                    &bus,
+                    TrafficPattern::UniformRandom,
+                    0.013,
+                    &FaultSchedule::default(),
+                    &mut SimScratch::new(),
+                )
                 .expect("valid rate");
             (
                 ways,
@@ -369,13 +376,20 @@ pub fn ablation_engine_comparison() -> EngineComparisonAblation {
         warmup: 2_500,
         ..SimConfig::default()
     });
+    let mut scratch = SimScratch::new();
     let mut flit_net =
         FlitNetwork::new(FlitConfig::table4_mesh64(RouterClass::OneCycle)).expect("valid");
     let rows = [0.002, 0.01, 0.05]
         .iter()
         .map(|&rate| {
             let res = sim
-                .run(&reservation_net, TrafficPattern::UniformRandom, rate)
+                .run(
+                    &reservation_net,
+                    TrafficPattern::UniformRandom,
+                    rate,
+                    &FaultSchedule::default(),
+                    &mut scratch,
+                )
                 .expect("valid rate");
             let flit = flit_net
                 .run(TrafficPattern::UniformRandom, rate, 10_000, 2_500, 7)

@@ -21,8 +21,8 @@
 //!   [`CoreScratch`], against the frozen full-trace engine
 //!   (`cryowire_ooo::core::reference`), per point of a frontend-depth ×
 //!   width × bypass design grid (the CryoSP exploration of Table 3).
-//! * `coherence`: [`CoherenceSystem::run_batch_with`] over the four
-//!   cache-geometry lanes on one warm [`CoherenceScratch`] against the
+//! * `coherence`: [`CoherenceSystem::run`] over the four cache-geometry
+//!   lanes, one after another on one warm [`CoherenceScratch`], against the
 //!   frozen hash-map engine ([`cryowire_coherence::baseline`]) run the
 //!   way the pre-arena scalar path ran grids, with a fresh scratch per
 //!   lane; lane 0's commit log also replays through the hop-count
@@ -40,7 +40,7 @@
 //! directory/snoop average miss latency on the streamcluster trace at
 //! 77 K, a simulated figure, exceeds 1).
 //!
-//! [`CoherenceSystem::run_batch_with`]: cryowire_coherence::CoherenceSystem::run_batch_with
+//! [`CoherenceSystem::run`]: cryowire_coherence::CoherenceSystem::run
 
 use std::time::Instant;
 
@@ -388,7 +388,7 @@ fn noc_rows(
         let mut scratch = SimScratch::new();
         let mut run = |rate| {
             optimized
-                .run_with_scratch(net, pattern, rate, &empty, &mut scratch)
+                .run(net, pattern, rate, &empty, &mut scratch)
                 .expect("a fault-free run in a valid window completes")
         };
         run(rates[0]);
@@ -527,20 +527,23 @@ fn coherence_rows(
                     ..lane_config(*kind, *g)
                 })
                 .collect();
-            let (system, clock_ghz) = build_system(*kind, lanes[0].geometry);
+            let (system, clock_ghz) = build_system(*kind);
             let mut scratch = CoherenceScratch::new();
+            let mut run_lanes = || {
+                lanes
+                    .iter()
+                    .map(|cfg| system.run(&trace, cfg, None, &mut scratch))
+                    .collect::<Vec<_>>()
+            };
             // Warm the scratch outside the timed region: arenas, caches,
             // arbiters and the completion heap reach steady-state shape.
-            let _ = system.run_batch_with(&trace, &lanes, None, &mut scratch);
-            let (walls, (optimized, reference)) = time_pair(
-                || system.run_batch_with(&trace, &lanes, None, &mut scratch),
-                || {
-                    lanes
-                        .iter()
-                        .map(|cfg| run_reference(*kind, *cfg, &trace))
-                        .collect::<Vec<_>>()
-                },
-            );
+            let _ = run_lanes();
+            let (walls, (optimized, reference)) = time_pair(run_lanes, || {
+                lanes
+                    .iter()
+                    .map(|cfg| run_reference(*kind, *cfg, &trace))
+                    .collect::<Vec<_>>()
+            });
             let label = format!("{}/{}", kind.name(), workload.name);
             let optimized: Vec<RunOutcome> = optimized
                 .into_iter()

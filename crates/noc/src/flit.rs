@@ -863,7 +863,12 @@ mod tests {
                 warmup: 500,
                 ..SimConfig::default()
             });
-            assert_eq!(sweep.run(&mesh, pattern), Err(expected.clone()), "{grid:?}");
+            let faults = cryowire_faults::FaultSchedule::default();
+            assert_eq!(
+                sweep.run(&mesh, pattern, &faults),
+                Err(crate::SimError::Noc(expected.clone())),
+                "{grid:?}"
+            );
             assert_eq!(
                 flit_load_latency(config, pattern, &grid, 2_000, 500),
                 Err(expected),

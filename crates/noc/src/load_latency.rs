@@ -144,8 +144,8 @@ impl LoadLatencySweep {
     /// share them: the first network to reach a rate draws its trace and
     /// every network replays it. Each curve still stops after its own
     /// second saturated point, and rates no network reaches are never
-    /// drawn. The curves are bit-identical to running [`Self::run`] on
-    /// each network in turn.
+    /// drawn. The curves are bit-identical to running [`Self::run`]
+    /// fault-free on each network in turn.
     ///
     /// # Errors
     ///
@@ -183,46 +183,30 @@ impl LoadLatencySweep {
             .collect()
     }
 
-    /// Runs the sweep; the curve stops after its second saturated point
-    /// (enough to show the hockey stick without wasting cycles).
+    /// Runs the sweep over one network with `faults` injected into every
+    /// point (`&FaultSchedule::default()` for a fault-free curve). The
+    /// curve stops after its second saturated point (enough to show the
+    /// hockey stick without wasting cycles); the engine's progress
+    /// watchdog turns a would-be hang (dead resources nobody can route
+    /// around) into [`SimError::Stalled`] instead of looping forever.
+    ///
+    /// All rate points share one [`SimScratch`], so the memoized route
+    /// tables are built once per curve and the per-point hot loop is
+    /// allocation-free. A single run draws and replays each point's
+    /// trace in chunks instead of sharing it across networks as
+    /// [`Self::run_many`] does.
     ///
     /// # Errors
     ///
     /// Returns [`NocError::EmptyRateGrid`],
     /// [`NocError::InvalidInjectionRate`] or
-    /// [`NocError::UnorderedRateGrid`] unless the rate grid is non-empty,
-    /// every rate is in `[0, 1]` and the grid is strictly ascending —
-    /// checked for the whole grid up front, whether or not the curve
-    /// would reach every rate — and propagates simulation errors
-    /// (invalid windows or patterns).
+    /// [`NocError::UnorderedRateGrid`] (as [`SimError::Noc`]) unless the
+    /// rate grid is non-empty, every rate is in `[0, 1]` and the grid is
+    /// strictly ascending — checked for the whole grid up front, whether
+    /// or not the curve would reach every rate — and propagates
+    /// simulation errors: invalid windows or patterns, and the
+    /// watchdog's [`SimError::Stalled`].
     pub fn run(
-        &self,
-        network: &dyn Network,
-        pattern: TrafficPattern,
-    ) -> Result<LoadLatencyCurve, NocError> {
-        match self.run_with_faults(network, pattern, &FaultSchedule::default()) {
-            Ok(curve) => Ok(curve),
-            Err(SimError::Noc(e)) => Err(e),
-            Err(SimError::Stalled { .. }) => {
-                unreachable!("the watchdog cannot fire without injected faults")
-            }
-        }
-    }
-
-    /// Runs the sweep with `faults` injected into every point. The
-    /// same early-stop applies; the engine's progress watchdog turns a
-    /// would-be hang (dead resources nobody can route around) into
-    /// [`SimError::Stalled`] instead of looping forever.
-    ///
-    /// All rate points share one [`SimScratch`], so the memoized route
-    /// tables are built once per curve and the per-point hot loop is
-    /// allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// The rate-grid errors of [`Self::run`], and simulation errors,
-    /// including the watchdog's [`SimError::Stalled`].
-    pub fn run_with_faults(
         &self,
         network: &dyn Network,
         pattern: TrafficPattern,
@@ -231,8 +215,7 @@ impl LoadLatencySweep {
         check_rate_grid(&self.rates)?;
         let mut scratch = SimScratch::new();
         self.curve(network, |_, rate| {
-            self.sim
-                .run_with_scratch(network, pattern, rate, faults, &mut scratch)
+            self.sim.run(network, pattern, rate, faults, &mut scratch)
         })
     }
 
@@ -334,7 +317,11 @@ mod tests {
         // "300K Shared bus cannot run even the PARSEC workloads."
         let bus = SharedBus::new(64, Temperature::ambient());
         let curve = quick_sweep(vec![0.0005, 0.001, 0.002, 0.004])
-            .run(&bus, TrafficPattern::UniformRandom)
+            .run(
+                &bus,
+                TrafficPattern::UniformRandom,
+                &FaultSchedule::default(),
+            )
             .unwrap();
         let parsec_max = WORKLOAD_BANDS[0].max_rate;
         assert!(
@@ -347,7 +334,11 @@ mod tests {
     fn fig18_shared_bus_77k_covers_parsec_not_spec() {
         let bus = SharedBus::new(64, Temperature::liquid_nitrogen());
         let curve = quick_sweep(vec![0.0005, 0.002, 0.004, 0.006, 0.010, 0.014])
-            .run(&bus, TrafficPattern::UniformRandom)
+            .run(
+                &bus,
+                TrafficPattern::UniformRandom,
+                &FaultSchedule::default(),
+            )
             .unwrap();
         assert!(curve.supports_rate(WORKLOAD_BANDS[0].max_rate), "PARSEC");
         assert!(
@@ -360,7 +351,11 @@ mod tests {
     fn fig21_cryobus_covers_all_bands() {
         let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
         let curve = quick_sweep(vec![0.001, 0.004, 0.008, 0.012, 0.0145])
-            .run(&bus, TrafficPattern::UniformRandom)
+            .run(
+                &bus,
+                TrafficPattern::UniformRandom,
+                &FaultSchedule::default(),
+            )
             .unwrap();
         for band in WORKLOAD_BANDS {
             assert!(
@@ -375,21 +370,24 @@ mod tests {
     fn curve_accessors() {
         let bus = CryoBus::new(64, Temperature::liquid_nitrogen());
         let curve = quick_sweep(vec![0.001, 0.02, 0.03])
-            .run(&bus, TrafficPattern::UniformRandom)
+            .run(
+                &bus,
+                TrafficPattern::UniformRandom,
+                &FaultSchedule::default(),
+            )
             .unwrap();
         assert!(curve.zero_load_latency() >= 5.0);
         assert!(curve.saturation_rate().is_some());
     }
 
-    /// Every entry point's verdict on `rates` for `network`: the curve's
+    /// Both entry points' verdicts on `rates` for `network`: the curve's
     /// point count, or the `NocError` it reports.
-    fn verdicts(rates: Vec<f64>, network: &(dyn Network + Sync)) -> [Result<usize, NocError>; 3] {
+    fn verdicts(rates: Vec<f64>, network: &(dyn Network + Sync)) -> [Result<usize, NocError>; 2] {
         let sweep = quick_sweep(rates);
         let pattern = TrafficPattern::UniformRandom;
         [
-            sweep.run(network, pattern).map(|c| c.points.len()),
             sweep
-                .run_with_faults(network, pattern, &FaultSchedule::default())
+                .run(network, pattern, &FaultSchedule::default())
                 .map(|c| c.points.len())
                 .map_err(|e| match e {
                     SimError::Noc(e) => e,

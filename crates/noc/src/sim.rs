@@ -51,8 +51,8 @@
 //! replays in fixed chunks of cycles through a grow-only buffer in its
 //! scratch, so its memory does not grow with the window. Faulted runs
 //! are the exception: flit-loss retries draw from the same stream per
-//! lossy leg, so the draws depend on the network's routes, and
-//! [`Simulator::run_with_faults`] keeps its own fused loop.
+//! lossy leg, so the draws depend on the network's routes, and a
+//! faulted [`Simulator::run`] keeps its own fused loop.
 //!
 //! Neither route table consumes randomness, so the RNG draw order —
 //! injection gate, destination, tag, flit-loss retries — is exactly that
@@ -341,8 +341,7 @@ pub struct SimResult {
 ///     let mesh = RouterNetwork::new(NocKind::Mesh, 64, class, t77).unwrap();
 ///     let faults = FaultSchedule::default();
 ///     let pattern = TrafficPattern::UniformRandom;
-///     sim.run_with_scratch(&mesh, pattern, 0.01, &faults, &mut scratch)
-///         .unwrap();
+///     sim.run(&mesh, pattern, 0.01, &faults, &mut scratch).unwrap();
 /// }
 /// ```
 ///
@@ -362,8 +361,7 @@ pub struct SimResult {
 /// for mesh in &meshes {
 ///     let faults = FaultSchedule::default();
 ///     let pattern = TrafficPattern::UniformRandom;
-///     sim.run_with_scratch(mesh, pattern, 0.01, &faults, &mut scratch)
-///         .unwrap();
+///     sim.run(mesh, pattern, 0.01, &faults, &mut scratch).unwrap();
 /// }
 /// ```
 #[derive(Default)]
@@ -653,32 +651,13 @@ impl Simulator {
     }
 
     /// Runs `network` under `pattern` at per-node injection `rate`
-    /// (packets/node/cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::InvalidInjectionRate`] if `rate` is not in
-    /// `[0, 1]`, [`NocError::InvalidSimWindow`] for a degenerate
-    /// configuration, or a pattern validation error.
-    pub fn run(
-        &self,
-        network: &dyn Network,
-        pattern: TrafficPattern,
-        rate: f64,
-    ) -> Result<SimResult, NocError> {
-        // A fault-free run draws the same RNG stream as before the
-        // faulted engine existed: no dead set, no loss draws.
-        match self.run_with_faults(network, pattern, rate, &FaultSchedule::default()) {
-            Ok(r) => Ok(r),
-            Err(SimError::Noc(e)) => Err(e),
-            Err(SimError::Stalled { .. }) => {
-                unreachable!("the watchdog cannot fire without injected faults")
-            }
-        }
-    }
-
-    /// Runs `network` under `pattern` at `rate` with `faults` injected,
-    /// using a fresh [`SimScratch`].
+    /// (packets/node/cycle) with `faults` injected, reusing `scratch` —
+    /// memoized route tables, the resource-reservation vector and the
+    /// trace chunk buffer — so repeated runs over the same network (a
+    /// load–latency sweep) allocate nothing in steady state. A
+    /// fault-free run passes `&FaultSchedule::default()`: an empty
+    /// schedule takes the fault-free engine and draws the same RNG
+    /// stream as a run without fault injection.
     ///
     /// Dead resources are avoided via [`Network::path_avoiding`]
     /// (deadlock-free detours where the network has routing freedom);
@@ -692,27 +671,12 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Noc`] for validation errors and
-    /// [`SimError::Stalled`] when the watchdog fires.
-    pub fn run_with_faults(
-        &self,
-        network: &dyn Network,
-        pattern: TrafficPattern,
-        rate: f64,
-        faults: &FaultSchedule,
-    ) -> Result<SimResult, SimError> {
-        self.run_with_scratch(network, pattern, rate, faults, &mut SimScratch::new())
-    }
-
-    /// Like [`Simulator::run_with_faults`], but reusing `scratch` —
-    /// memoized route tables, the resource-reservation vector and the
-    /// trace chunk buffer — so repeated runs over the same network (a
-    /// load–latency sweep) allocate nothing in steady state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::run_with_faults`].
-    pub fn run_with_scratch<'n>(
+    /// Returns [`SimError::Noc`] wrapping
+    /// [`NocError::InvalidInjectionRate`] if `rate` is not in `[0, 1]`,
+    /// [`NocError::InvalidSimWindow`] for a degenerate configuration, or
+    /// a pattern validation error; and [`SimError::Stalled`] when the
+    /// watchdog fires, which needs dead resources in `faults`.
+    pub fn run<'n>(
         &self,
         network: &'n dyn Network,
         pattern: TrafficPattern,
@@ -759,8 +723,8 @@ impl Simulator {
     }
 
     /// Replays a [`Simulator::draw_trace`] trace over `network`, giving
-    /// the result of a fault-free [`Simulator::run_with_scratch`] at the
-    /// trace's `rate`. The caller has checked the rate and
+    /// the result of a fault-free [`Simulator::run`] at the trace's
+    /// `rate`. The caller has checked the rate and
     /// [`Simulator::validate`]d the network and pattern.
     pub(crate) fn replay_trace<'n>(
         &self,
@@ -1044,8 +1008,7 @@ pub mod reference {
         ///
         /// # Errors
         ///
-        /// As for
-        /// [`Simulator::run_with_faults`](super::Simulator::run_with_faults).
+        /// As for [`Simulator::run`](super::Simulator::run).
         #[allow(clippy::too_many_lines)]
         pub fn run_with_faults(
             &self,
@@ -1222,6 +1185,22 @@ mod tests {
         }
     }
 
+    /// One uniform-random run over `net` with a fresh scratch.
+    fn run(
+        sim: &Simulator,
+        net: &dyn Network,
+        rate: f64,
+        faults: &FaultSchedule,
+    ) -> Result<SimResult, SimError> {
+        let pattern = TrafficPattern::UniformRandom;
+        sim.run(net, pattern, rate, faults, &mut SimScratch::new())
+    }
+
+    /// A fault-free [`run`].
+    fn clean(sim: &Simulator, net: &dyn Network, rate: f64) -> Result<SimResult, SimError> {
+        run(sim, net, rate, &FaultSchedule::default())
+    }
+
     #[test]
     fn zero_load_latency_is_sum_of_traversals() {
         let net = toy();
@@ -1232,9 +1211,7 @@ mod tests {
     #[test]
     fn low_load_latency_near_zero_load() {
         let sim = Simulator::default();
-        let r = sim
-            .run(&toy(), TrafficPattern::UniformRandom, 0.0005)
-            .unwrap();
+        let r = clean(&sim, &toy(), 0.0005).unwrap();
         assert!(!r.saturated);
         assert!(r.avg_latency < 7.0, "latency = {}", r.avg_latency);
     }
@@ -1244,9 +1221,7 @@ mod tests {
         // Service = 2 cycles/packet on one bus; 64 nodes at 0.05/node
         // offers 3.2 packets/cycle >> 0.5 capacity.
         let sim = Simulator::default();
-        let r = sim
-            .run(&toy(), TrafficPattern::UniformRandom, 0.05)
-            .unwrap();
+        let r = clean(&sim, &toy(), 0.05).unwrap();
         assert!(r.saturated);
         assert!(r.avg_latency > 100.0);
     }
@@ -1256,9 +1231,7 @@ mod tests {
         let sim = Simulator::default();
         let mut last = 0.0;
         for rate in [0.0005, 0.002, 0.004, 0.006] {
-            let r = sim
-                .run(&toy(), TrafficPattern::UniformRandom, rate)
-                .unwrap();
+            let r = clean(&sim, &toy(), rate).unwrap();
             assert!(
                 r.avg_latency >= last - 0.2,
                 "latency should not fall with load: {} then {}",
@@ -1272,12 +1245,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let sim = Simulator::default();
-        let a = sim
-            .run(&toy(), TrafficPattern::UniformRandom, 0.003)
-            .unwrap();
-        let b = sim
-            .run(&toy(), TrafficPattern::UniformRandom, 0.003)
-            .unwrap();
+        let a = clean(&sim, &toy(), 0.003).unwrap();
+        let b = clean(&sim, &toy(), 0.003).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1291,7 +1260,7 @@ mod tests {
         let mut scratch = SimScratch::new();
         for rate in [0.001, 0.003, 0.006] {
             let warm = sim
-                .run_with_scratch(
+                .run(
                     &net,
                     TrafficPattern::UniformRandom,
                     rate,
@@ -1299,7 +1268,7 @@ mod tests {
                     &mut scratch,
                 )
                 .unwrap();
-            let fresh = sim.run(&net, TrafficPattern::UniformRandom, rate).unwrap();
+            let fresh = clean(&sim, &net, rate).unwrap();
             assert_eq!(warm, fresh, "rate {rate}");
         }
     }
@@ -1357,7 +1326,7 @@ mod tests {
                 .unwrap();
         let pattern = TrafficPattern::UniformRandom;
         let mut scratch = SimScratch::new();
-        sim.run_with_scratch(
+        sim.run(
             &mesh,
             pattern,
             0.01,
@@ -1379,7 +1348,7 @@ mod tests {
             )],
             2_000,
         );
-        sim.run_with_scratch(&mesh, pattern, 0.01, &faults, &mut scratch)
+        sim.run(&mesh, pattern, 0.01, &faults, &mut scratch)
             .unwrap();
         let dead_sets: Vec<&[usize]> = scratch.epochs.iter().map(|(d, _)| &d[..]).collect();
         assert_eq!(dead_sets, [&[][..], &[1][..]]);
@@ -1404,15 +1373,8 @@ mod tests {
             for mesh in &meshes {
                 let pattern = TrafficPattern::UniformRandom;
                 let empty = FaultSchedule::default();
-                let warm = sim
-                    .run_with_scratch(mesh, pattern, 0.01, &empty, &mut scratch)
-                    .unwrap();
-                assert_eq!(
-                    warm,
-                    sim.run(mesh, pattern, 0.01).unwrap(),
-                    "{}",
-                    mesh.name()
-                );
+                let warm = sim.run(mesh, pattern, 0.01, &empty, &mut scratch).unwrap();
+                assert_eq!(warm, clean(&sim, mesh, 0.01).unwrap(), "{}", mesh.name());
             }
         }
     }
@@ -1422,9 +1384,7 @@ mod tests {
         let sim = Simulator::default();
         let refsim = reference::ReferenceSimulator::new(SimConfig::default());
         for rate in [0.001, 0.004, 0.02] {
-            let a = sim
-                .run(&toy(), TrafficPattern::UniformRandom, rate)
-                .unwrap();
+            let a = clean(&sim, &toy(), rate).unwrap();
             let b = refsim
                 .run(&toy(), TrafficPattern::UniformRandom, rate)
                 .unwrap();
@@ -1434,21 +1394,17 @@ mod tests {
 
     #[test]
     fn empty_schedule_matches_fault_free_run() {
+        // An empty schedule takes the fault-free engine: its chunked
+        // draw-and-replay equals replaying the whole window's trace at
+        // once (the fan-out path), and it loses no packet.
         let sim = Simulator::default();
-        let plain = sim
-            .run(&toy(), TrafficPattern::UniformRandom, 0.003)
-            .unwrap();
-        let faulted = sim
-            .run_with_faults(
-                &toy(),
-                TrafficPattern::UniformRandom,
-                0.003,
-                &cryowire_faults::FaultSchedule::default(),
-            )
-            .unwrap();
-        assert_eq!(plain, faulted);
-        assert_eq!(faulted.dropped, 0);
-        assert_eq!(faulted.unrouted, 0);
+        let net = toy();
+        let plain = clean(&sim, &net, 0.003).unwrap();
+        let trace = sim.draw_trace(TrafficPattern::UniformRandom, net.topology(), 0.003);
+        let replayed = sim.replay_trace(&net, &trace, 0.003, &mut SimScratch::new());
+        assert_eq!(plain, replayed);
+        assert_eq!(plain.dropped, 0);
+        assert_eq!(plain.unrouted, 0);
     }
 
     #[test]
@@ -1464,9 +1420,7 @@ mod tests {
             )],
             30_000,
         );
-        let err = sim
-            .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.01, &faults)
-            .unwrap_err();
+        let err = run(&sim, &toy(), 0.01, &faults).unwrap_err();
         match err {
             crate::error::SimError::Stalled {
                 blocked_resources, ..
@@ -1479,9 +1433,7 @@ mod tests {
     fn degraded_resource_raises_latency() {
         use cryowire_faults::{FaultEvent, FaultKind, FaultSchedule};
         let sim = Simulator::default();
-        let healthy = sim
-            .run(&toy(), TrafficPattern::UniformRandom, 0.002)
-            .unwrap();
+        let healthy = clean(&sim, &toy(), 0.002).unwrap();
         let faults = FaultSchedule::from_events(
             vec![FaultEvent::permanent(
                 0,
@@ -1492,9 +1444,7 @@ mod tests {
             )],
             30_000,
         );
-        let degraded = sim
-            .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.002, &faults)
-            .unwrap();
+        let degraded = run(&sim, &toy(), 0.002, &faults).unwrap();
         assert!(
             degraded.avg_latency > healthy.avg_latency,
             "degraded {} <= healthy {}",
@@ -1517,9 +1467,7 @@ mod tests {
             )],
             30_000,
         );
-        let r = sim
-            .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.002, &faults)
-            .unwrap();
+        let r = run(&sim, &toy(), 0.002, &faults).unwrap();
         assert!(r.dropped > 0, "p=0.5 with 1 retransmit must drop packets");
         assert!(r.packets > 0, "most packets still get through");
     }
@@ -1543,9 +1491,7 @@ mod tests {
             )],
             30_000,
         );
-        let r = sim
-            .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.05, &faults)
-            .unwrap();
+        let r = run(&sim, &toy(), 0.05, &faults).unwrap();
         assert!(r.dropped > 0, "every injected packet is lost");
         assert_eq!(r.packets, 0, "nothing ever arrives");
         assert!(
@@ -1562,25 +1508,17 @@ mod tests {
             .flit_loss(0.1, 3)
             .degraded_links(1, &[0], 2.0, 3.0)
             .schedule(30_000);
-        let a = sim
-            .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.003, &faults)
-            .unwrap();
-        let b = sim
-            .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.003, &faults)
-            .unwrap();
+        let a = run(&sim, &toy(), 0.003, &faults).unwrap();
+        let b = run(&sim, &toy(), 0.003, &faults).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn rejects_bad_rates() {
         let sim = Simulator::default();
-        assert!(sim
-            .run(&toy(), TrafficPattern::UniformRandom, -0.1)
-            .is_err());
-        assert!(sim.run(&toy(), TrafficPattern::UniformRandom, 1.5).is_err());
-        assert!(sim
-            .run(&toy(), TrafficPattern::UniformRandom, f64::NAN)
-            .is_err());
+        assert!(clean(&sim, &toy(), -0.1).is_err());
+        assert!(clean(&sim, &toy(), 1.5).is_err());
+        assert!(clean(&sim, &toy(), f64::NAN).is_err());
     }
 
     #[test]
@@ -1593,12 +1531,10 @@ mod tests {
                 warmup,
                 ..SimConfig::default()
             });
-            let err = sim
-                .run(&toy(), TrafficPattern::UniformRandom, 0.003)
-                .unwrap_err();
+            let err = clean(&sim, &toy(), 0.003).unwrap_err();
             assert_eq!(
                 err,
-                NocError::InvalidSimWindow { cycles, warmup },
+                SimError::Noc(NocError::InvalidSimWindow { cycles, warmup }),
                 "cycles={cycles} warmup={warmup}"
             );
             // The reference engine rejects the same windows identically.
@@ -1627,11 +1563,12 @@ mod tests {
             cryowire_device::Temperature::liquid_nitrogen(),
         )
         .expect("a one-node mesh constructs");
-        let err = Simulator::default()
-            .run(&net, TrafficPattern::UniformRandom, 0.1)
-            .unwrap_err();
+        let err = clean(&Simulator::default(), &net, 0.1).unwrap_err();
         assert!(
-            matches!(err, NocError::InvalidNodeCount { nodes: 1, .. }),
+            matches!(
+                err,
+                SimError::Noc(NocError::InvalidNodeCount { nodes: 1, .. })
+            ),
             "{err:?}"
         );
     }

@@ -312,7 +312,10 @@ mod tests {
     /// (`burst_len`, `intensity`) on the 64-node 77 K mesh at rate 0.01
     /// over an 8 000-cycle window.
     fn assert_burst_rejected(burst_len: f64, intensity: f64) {
-        use crate::{FlitConfig, FlitNetwork, RouterClass, RouterNetwork, SimConfig, Simulator};
+        use crate::{
+            FlitConfig, FlitNetwork, RouterClass, RouterNetwork, SimConfig, SimError, SimScratch,
+            Simulator,
+        };
         let pattern = TrafficPattern::Burst {
             burst_len,
             intensity,
@@ -324,7 +327,12 @@ mod tests {
             warmup: 2_000,
             ..SimConfig::default()
         });
-        let reservation = sim.run(&mesh, pattern, 0.01).map(|r| r.packets);
+        let faults = cryowire_faults::FaultSchedule::default();
+        let reservation = match sim.run(&mesh, pattern, 0.01, &faults, &mut SimScratch::new()) {
+            Ok(r) => Ok(r.packets),
+            Err(SimError::Noc(e)) => Err(e),
+            Err(stalled) => panic!("a fault-free run stalled: {stalled}"),
+        };
         let mut flit = FlitNetwork::new(FlitConfig::table4_mesh64(RouterClass::OneCycle))
             .expect("valid flit mesh");
         let flit = flit.run(pattern, 0.01, 8_000, 2_000, 7).map(|r| r.packets);

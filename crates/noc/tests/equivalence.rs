@@ -113,7 +113,8 @@ fn optimized_engine_is_bit_identical_to_reference() {
             for (pattern, pname) in patterns() {
                 for (faults, fname) in plans() {
                     for rate in [0.002, 0.01] {
-                        let a = optimized.run_with_faults(net.as_ref(), pattern, rate, &faults);
+                        let fresh = &mut SimScratch::new();
+                        let a = optimized.run(net.as_ref(), pattern, rate, &faults, fresh);
                         let b = reference.run_with_faults(net.as_ref(), pattern, rate, &faults);
                         assert_eq!(
                             a,
@@ -173,7 +174,7 @@ fn randomized_fault_plans_match_the_reference_over_a_warm_scratch() {
         let mut scratch = SimScratch::new();
         for rate in rates {
             let pattern = TrafficPattern::UniformRandom;
-            let a = optimized.run_with_scratch(&net, pattern, rate, &faults, &mut scratch);
+            let a = optimized.run(&net, pattern, rate, &faults, &mut scratch);
             let b = reference.run_with_faults(&net, pattern, rate, &faults);
             assert_eq!(a, b, "trial {trial} / {kind:?} / rate {rate}");
         }
@@ -210,7 +211,7 @@ fn scratch_reuse_across_fault_epochs_is_bit_identical() {
     let mut scratch = SimScratch::new();
     for rate in [0.002, 0.006, 0.012] {
         let a = optimized
-            .run_with_scratch(
+            .run(
                 &net,
                 TrafficPattern::UniformRandom,
                 rate,

@@ -396,7 +396,16 @@ mod tests {
             warmup: 8_000,
             ..SimConfig::default()
         });
-        let exact = sim.run(&bus, TrafficPattern::UniformRandom, rate).unwrap();
+        let faults = cryowire_faults::FaultSchedule::default();
+        let exact = sim
+            .run(
+                &bus,
+                TrafficPattern::UniformRandom,
+                rate,
+                &faults,
+                &mut cryowire_noc::SimScratch::new(),
+            )
+            .unwrap();
         let err = (est.avg_latency - exact.avg_latency).abs() / exact.avg_latency;
         assert!(
             err < 0.30,

@@ -6,6 +6,7 @@
 //! ```
 
 use cryowire::device::Temperature;
+use cryowire::faults::FaultSchedule;
 use cryowire::noc::{
     CryoBus, LoadLatencySweep, Network, NocKind, RouterClass, RouterNetwork, SharedBus, SimConfig,
     TrafficPattern, WORKLOAD_BANDS,
@@ -57,8 +58,11 @@ fn main() {
         "{:<34} {:>14} {:>16}",
         "network", "zero-load (cy)", "saturation rate"
     );
+    let fault_free = FaultSchedule::default();
     for net in &nets {
-        let curve = sweep.run(net.as_ref(), pattern).expect("valid sweep");
+        let curve = sweep
+            .run(net.as_ref(), pattern, &fault_free)
+            .expect("valid sweep");
         println!(
             "{:<34} {:>14.1} {:>16}",
             curve.network,

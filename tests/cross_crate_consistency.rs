@@ -2,8 +2,12 @@
 //! derived through different crates must agree.
 
 use cryowire::device::{MosfetModel, RepeaterOptimizer, Temperature, Wire, WireClass};
+use cryowire::faults::FaultSchedule;
 use cryowire::floorplan::Floorplan;
-use cryowire::noc::{CryoBus, LinkModel, Network, SharedBus, SimConfig, Simulator, TrafficPattern};
+use cryowire::noc::{
+    CryoBus, LinkModel, Network, SharedBus, SimConfig, SimResult, SimScratch, Simulator,
+    TrafficPattern,
+};
 use cryowire::pipeline::{CoreDesign, CriticalPathModel, Superpipeliner};
 use cryowire::system::{ContentionEstimate, SystemDesign, SystemSimulator, Workload};
 
@@ -51,6 +55,19 @@ fn link_model_agrees_with_repeater_optimizer() {
     assert!((link.speedup(t77) - opt.speedup(&wire, t77)).abs() < 1e-9);
 }
 
+/// One fault-free uniform-random reservation run at `rate`.
+fn uniform_run(sim: &Simulator, net: &dyn Network, rate: f64) -> SimResult {
+    let pattern = TrafficPattern::UniformRandom;
+    sim.run(
+        net,
+        pattern,
+        rate,
+        &FaultSchedule::default(),
+        &mut SimScratch::new(),
+    )
+    .expect("valid rate")
+}
+
 #[test]
 fn bus_saturation_theory_matches_cycle_simulation() {
     // The analytic saturation rate (ways / (occupancy × cores)) must
@@ -63,12 +80,8 @@ fn bus_saturation_theory_matches_cycle_simulation() {
         warmup: 4_000,
         ..SimConfig::default()
     });
-    let below = sim
-        .run(&bus, TrafficPattern::UniformRandom, sat * 0.6)
-        .expect("valid rate");
-    let above = sim
-        .run(&bus, TrafficPattern::UniformRandom, (sat * 1.6).min(0.9))
-        .expect("valid rate");
+    let below = uniform_run(&sim, &bus, sat * 0.6);
+    let above = uniform_run(&sim, &bus, (sat * 1.6).min(0.9));
     assert!(!below.saturated, "60% of capacity must not saturate");
     assert!(above.saturated, "160% of capacity must saturate");
 }
@@ -88,9 +101,7 @@ fn contention_estimate_brackets_simulator() {
         warmup: 6_000,
         ..SimConfig::default()
     });
-    let exact = sim
-        .run(&bus, TrafficPattern::UniformRandom, rate)
-        .expect("valid rate");
+    let exact = uniform_run(&sim, &bus, rate);
     let err = (est.avg_latency - exact.avg_latency).abs() / exact.avg_latency;
     assert!(
         err < 0.30,

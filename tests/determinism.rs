@@ -168,9 +168,10 @@ fn parallel_sweep_matches_serial() {
     let nets: Vec<&(dyn Network + Sync)> = vec![&bus, &cryo, &mesh, &hybrid];
     for pattern in [TrafficPattern::UniformRandom, TrafficPattern::Transpose] {
         let parallel = sweep.run_many(&nets, pattern).unwrap();
+        let fault_free = cryowire::faults::FaultSchedule::default();
         let serial: Vec<_> = nets
             .iter()
-            .map(|net| sweep.run(*net, pattern).unwrap())
+            .map(|net| sweep.run(*net, pattern, &fault_free).unwrap())
             .collect();
         assert_eq!(parallel, serial, "{pattern:?}");
     }
@@ -178,12 +179,13 @@ fn parallel_sweep_matches_serial() {
 
 #[test]
 fn batched_coherence_sweep_matches_scalar_sweep() {
-    // The coherence grid's batched path (one `run_batch_with` call per
-    // engine, points grouped by the shared trace + fabric key) must
-    // produce the byte-identical canonical artifact of a scalar sweep
-    // running every point alone, at one worker and at several.
+    // The coherence grid's batched path (one system and one scratch per
+    // engine, its points run as lanes one after another, grouped by the
+    // shared trace + fabric key) must produce the byte-identical
+    // canonical artifact of a scalar sweep running every point alone on
+    // its own system, at one worker and at several.
     use cryowire::experiments::{EngineKind, SweepOptions};
-    use cryowire_coherence::CoherenceScratch;
+    use cryowire_coherence::{CoherenceConfig, CoherenceScratch, Protocol};
     use cryowire_harness::Sweep;
 
     let accesses = experiments::COHERENCE_SWEEP_ACCESSES;
@@ -194,10 +196,17 @@ fn batched_coherence_sweep_matches_scalar_sweep() {
         .threads(1)
         .run(|point, _| {
             let kind = EngineKind::by_name(point.str("engine"));
-            let geometry = experiments::geometry_by_name(point.str("geometry"));
-            let (system, _) = experiments::build_system(kind, geometry);
+            let config = CoherenceConfig {
+                protocol: match kind {
+                    EngineKind::DragonSnoopCryoBus => Protocol::Dragon,
+                    _ => Protocol::Mesi,
+                },
+                geometry: experiments::geometry_by_name(point.str("geometry")),
+                ..CoherenceConfig::default()
+            };
+            let (system, _) = experiments::build_system(kind);
             let out = system
-                .run_with(&trace, None, &mut CoherenceScratch::new())
+                .run(&trace, &config, None, &mut CoherenceScratch::new())
                 .expect("clean scalar run completes");
             experiments::outcome_value(&out)
         });

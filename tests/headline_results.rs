@@ -143,12 +143,18 @@ fn barrier_heavy_sharing_is_cheaper_on_cryobus_snooping() {
     // average miss latency over the CryoBus snooping engine's
     // (6.44 vs 2.92 ns, 2.21x).
     use cryowire::experiments::EngineKind;
+    use cryowire_coherence::{CoherenceConfig, CoherenceScratch};
     let workload = cryowire::system::Workload::parsec_by_name("streamcluster").unwrap();
     let trace = experiments::coherence_trace(&workload, 400);
-    let no_evict = experiments::coherence_geometries()[0].1;
+    let config = CoherenceConfig {
+        geometry: experiments::coherence_geometries()[0].1,
+        ..CoherenceConfig::default()
+    };
     let miss_ns = |kind| {
-        let (system, clock_ghz) = experiments::build_system(kind, no_evict);
-        let out = system.run(&trace).expect("clean run completes");
+        let (system, clock_ghz) = experiments::build_system(kind);
+        let out = system
+            .run(&trace, &config, None, &mut CoherenceScratch::new())
+            .expect("clean run completes");
         experiments::avg_miss_ns(&out.metrics, clock_ghz)
     };
     let snoop = miss_ns(EngineKind::MesiSnoopCryoBus);
