@@ -330,7 +330,7 @@ fn grid_fig21(args: &Args, opts: SweepOptions) -> RunArtifact {
 }
 
 fn grid_degraded(args: &Args, opts: SweepOptions) -> RunArtifact {
-    experiments::degraded_sweep_artifact_injected(args.fault_seed, args.inject, opts)
+    experiments::degraded_sweep_artifact(args.fault_seed, args.inject, opts)
 }
 
 fn grid_coherence(args: &Args, opts: SweepOptions) -> RunArtifact {
@@ -443,8 +443,8 @@ fn main() {
     );
     if let Some(journal) = args.journal.as_deref() {
         eprintln!(
-            "sweep: journal `{journal}`: {} group commit(s) (fdatasync) for {} evaluated point(s)",
-            artifact.stats.journal_syncs, artifact.stats.evaluated
+            "sweep: journal `{journal}`: {} group commit(s) (fdatasync) for {} journaled point(s)",
+            artifact.stats.journal_syncs, artifact.stats.journal_appended
         );
     }
     if artifact.stats.retried > 0 || artifact.stats.journal_errors > 0 {

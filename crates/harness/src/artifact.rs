@@ -95,8 +95,13 @@ pub struct RunStats {
     /// them (best-effort: the lost records are recomputed on resume).
     pub journal_errors: u64,
     /// Journal group commits (`fdatasync`s) the run issued; concurrent
-    /// workers share them, so this falls below the journaled points.
+    /// workers share them, so this falls below
+    /// [`journal_appended`](Self::journal_appended).
     pub journal_syncs: u64,
+    /// Records the run appended to its journal: every point it resolved
+    /// without failing, cache hits included (resumed points are in the
+    /// file already).
+    pub journal_appended: u64,
     /// End-to-end wall time, ms.
     pub wall_ms: f64,
 }
@@ -191,6 +196,10 @@ impl RunArtifact {
                     (
                         "journal_syncs".into(),
                         Value::UInt(self.stats.journal_syncs),
+                    ),
+                    (
+                        "journal_appended".into(),
+                        Value::UInt(self.stats.journal_appended),
                     ),
                     ("wall_ms".into(), Value::Float(self.stats.wall_ms)),
                 ]),
@@ -301,6 +310,7 @@ mod tests {
                 retried: 0,
                 journal_errors: 0,
                 journal_syncs: 0,
+                journal_appended: 0,
                 wall_ms: eval_ms,
             },
         }
@@ -327,6 +337,7 @@ mod tests {
         supervised.stats.resumed = 1;
         supervised.stats.retried = 2;
         supervised.stats.journal_syncs = 5;
+        supervised.stats.journal_appended = 9;
         assert_eq!(
             plain.canonical_json(),
             supervised.canonical_json(),
@@ -347,6 +358,12 @@ mod tests {
                 .and_then(|s| s.get("journal_syncs"))
                 .and_then(Value::as_u64),
             Some(5)
+        );
+        assert_eq!(
+            doc.get("stats")
+                .and_then(|s| s.get("journal_appended"))
+                .and_then(Value::as_u64),
+            Some(9)
         );
     }
 

@@ -113,48 +113,6 @@ impl Executor {
             .map(|slot| slot.into_inner().expect("every slot filled"))
             .collect()
     }
-
-    /// Maps `f` over `items` grouped by `group_of`: items sharing a
-    /// group key are handed to `f` together (one *batch job* per
-    /// group), and the per-item results are scattered back into item
-    /// order. Groups run in parallel; grouping itself is deterministic
-    /// (first-occurrence order), so output equals a serial run at any
-    /// thread count.
-    ///
-    /// `f` must return exactly one result per member, in member order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` returns a result count different from the group's
-    /// member count.
-    pub fn run_grouped<I, K, T, G, F>(&self, items: &[I], group_of: G, f: F) -> Vec<T>
-    where
-        I: Sync,
-        K: Eq + Hash + Clone + Sync,
-        T: Send,
-        G: Fn(usize, &I) -> K,
-        F: Fn(&K, &[(usize, &I)]) -> Vec<T> + Sync,
-    {
-        let (order, groups) = partition(items, group_of);
-        let members: Vec<(usize, &I)> = order.iter().map(|&i| (i, &items[i])).collect();
-        let results = self.run(&groups, |_, (key, range)| {
-            let out = f(key, &members[range.clone()]);
-            assert_eq!(
-                out.len(),
-                range.len(),
-                "grouped evaluator must return one result per member"
-            );
-            out
-        });
-        let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-        for (&i, value) in order.iter().zip(results.into_iter().flatten()) {
-            slots[i] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every item belongs to a group"))
-            .collect()
-    }
 }
 
 /// Groups `items` by `group_of`: returns the item indices reordered
@@ -228,32 +186,23 @@ mod tests {
     }
 
     #[test]
-    fn grouped_results_scatter_back_to_item_order() {
+    fn partition_keeps_first_occurrence_and_item_order() {
         let items: Vec<u64> = (0..37).collect();
-        let eval = |e: Executor| {
-            e.run_grouped(
-                &items,
-                |_, &x| x % 3,
-                |&k, members| {
-                    members
-                        .iter()
-                        .map(|&(i, &x)| k * 1000 + x + i as u64)
-                        .collect()
-                },
-            )
-        };
-        let serial = eval(Executor::new(1));
-        let parallel = eval(Executor::new(8));
-        assert_eq!(serial, parallel);
-        // Item 7 is in group 1 (7 % 3), at its enumeration index.
-        assert_eq!(serial[7], 1000 + 7 + 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per member")]
-    fn grouped_evaluator_must_cover_every_member() {
-        let items = [1u64, 2, 3];
-        let _ = Executor::new(1).run_grouped(&items, |_, _| 0u64, |_, _| vec![0u64]);
+        // Keys first occur in the order 2, 1, 0: neither key order nor
+        // a hash map's.
+        let (order, groups) = partition(&items, |_, &x| 2 - x % 3);
+        let keys: Vec<u64> = groups.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, [2, 1, 0]);
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..37).collect::<Vec<_>>(), "each item once");
+        for (key, range) in &groups {
+            let members = &order[range.clone()];
+            assert!(members.iter().all(|&i| 2 - items[i] % 3 == *key));
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "item order");
+        }
+        // Item 7 is the third member of its group (1, 4, 7, ...).
+        assert_eq!(order[groups[1].1.start + 2], 7);
     }
 
     #[test]

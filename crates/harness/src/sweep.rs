@@ -452,6 +452,7 @@ impl<'c> Sweep<'c> {
             retried,
             journal_errors: journal.as_ref().map_or(0, RunJournal::write_errors),
             journal_syncs: journal.as_ref().map_or(0, RunJournal::syncs),
+            journal_appended: journal.as_ref().map_or(0, RunJournal::appended),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         };
         RunArtifact {
@@ -1074,12 +1075,18 @@ mod tests {
             .journal(&path)
             .run_batched(by_g, |_, _| unreachable!("all points cached"));
         assert_eq!(warm.stats.cache_hits, 4);
+        assert_eq!(warm.stats.evaluated, 0);
+        assert_eq!(
+            warm.stats.journal_appended, 4,
+            "the journal counts its hits"
+        );
         let resumed = Sweep::new(spec_gx())
             .eval_tag("b/v1")
             .resume(&path)
             .run_batched(by_g, |_, _| unreachable!("every hit was journaled"));
         assert_eq!(resumed.stats.resumed, 4);
         assert_eq!(resumed.stats.evaluated, 0);
+        assert_eq!(resumed.stats.journal_appended, 0, "replays are in the file");
         assert_eq!(resumed.canonical_json(), cold.canonical_json());
         let _ = std::fs::remove_file(&path);
     }

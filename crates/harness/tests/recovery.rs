@@ -198,7 +198,8 @@ proptest! {
         prop_assert_eq!(journaled.canonical_json(), reference.canonical_json());
         prop_assert_eq!(journaled.stats.journal_errors, 0);
         prop_assert!(journaled.stats.journal_syncs >= 1);
-        prop_assert!(journaled.stats.journal_syncs <= journaled.stats.evaluated as u64);
+        prop_assert_eq!(journaled.stats.journal_appended, journaled.stats.evaluated as u64);
+        prop_assert!(journaled.stats.journal_syncs <= journaled.stats.journal_appended);
 
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate((bytes.len() as f64 * cut_frac) as usize);

@@ -215,10 +215,15 @@ proptest! {
 /// than a proptest case: each sweep is four full event simulations.)
 #[test]
 fn serial_and_parallel_sweeps_agree_under_faults() {
-    use cryowire::experiments::{degraded_sweep_artifact, SweepOptions};
+    use cryowire::experiments::{degraded_sweep_artifact, InjectFaults, SweepOptions};
     for fault_seed in [0xC0FFEE_u64, 7, 9_001] {
-        let serial = degraded_sweep_artifact(fault_seed, false, SweepOptions::serial());
-        let parallel = degraded_sweep_artifact(fault_seed, false, SweepOptions::threaded(4));
+        let serial =
+            degraded_sweep_artifact(fault_seed, InjectFaults::default(), SweepOptions::serial());
+        let parallel = degraded_sweep_artifact(
+            fault_seed,
+            InjectFaults::default(),
+            SweepOptions::threaded(4),
+        );
         assert_eq!(
             serial.canonical_json(),
             parallel.canonical_json(),
