@@ -7,9 +7,12 @@
 //! taskset -c 0 target/release/examples/time_experiments 5 abl-engine fig16
 //! ```
 //!
-//! N defaults to 5. Experiments that start their own threads (fig21,
-//! fig25, fig26, abl-ipc, cpi-sim, abl-core-engine) still do; pin the
-//! process to one CPU to time them on one thread.
+//! N defaults to 5. Experiments that start their own threads still do:
+//! one per network in fig18 (2), fig21 and fig25 (9) and fig26 (5); one
+//! per workload in fig3, fig17, fig23 and summary (13, summary through
+//! fig23) and fig24 (12); one per config in cpi-sim (4) and
+//! abl-core-engine (3). Pin the process to one CPU to time them on one
+//! thread. (abl-ipc is one batch on the calling thread.)
 
 use std::time::Instant;
 
