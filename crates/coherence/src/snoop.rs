@@ -29,7 +29,7 @@ use std::cmp::Reverse;
 
 use cryowire_faults::FaultSchedule;
 use cryowire_memory::MemoryDesign;
-use cryowire_noc::{CryoBus, SegmentedBus, SharedBus};
+use cryowire_noc::{CryoBus, SharedBus};
 
 use crate::cache::{LineState, PrivateCache};
 use crate::engine::{CoherenceConfig, CoherenceScratch, PendingOp, Protocol, RunOutcome};
@@ -45,26 +45,9 @@ pub enum SnoopFabric<'a> {
     CryoBus(&'a CryoBus),
     /// A conventional bidirectional bus.
     SharedBus(&'a SharedBus),
-    /// A segmented bus with its underlying phase source.
-    Segmented {
-        /// The segmented broadcast model.
-        bus: &'a SegmentedBus,
-        /// The bus providing request/arbitration/grant phases.
-        inner: &'a SharedBus,
-    },
 }
 
 impl SnoopFabric<'_> {
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> String {
-        match self {
-            SnoopFabric::CryoBus(b) => cryowire_noc::Network::name(*b),
-            SnoopFabric::SharedBus(b) => cryowire_noc::Network::name(*b),
-            SnoopFabric::Segmented { bus, .. } => format!("SegmentedBus({})", bus.segments()),
-        }
-    }
-
     /// Transaction prices under the faults active at `cycle`: a dead
     /// H-tree segment re-forms the CryoBus (longer broadcast span), a
     /// cooling transient leaves timing untouched here (the bus keeps
@@ -88,7 +71,6 @@ impl SnoopFabric<'_> {
                 BusTiming::from_cryobus(bus, mem)
             }
             SnoopFabric::SharedBus(bus) => BusTiming::from_shared_bus(bus, mem),
-            SnoopFabric::Segmented { bus, inner } => BusTiming::from_segmented_bus(bus, inner, mem),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! engine config moves consistently between 300 K and 77 K.
 
 use cryowire_memory::MemoryDesign;
-use cryowire_noc::{CryoBus, Network, RouterNetwork, SegmentedBus, SharedBus};
+use cryowire_noc::{CryoBus, Network, RouterNetwork, SharedBus};
 
 use crate::error::CoherenceError;
 
@@ -64,21 +64,6 @@ impl BusTiming {
             update_beats: 2,
             fill_cycles: fill_cycles(mem, bus.clock_ghz()),
             ways: bus.ways(),
-        }
-    }
-
-    /// Prices transactions over a [`SegmentedBus`]: same phase shape as
-    /// the conventional bus, with the segmented broadcast cycle count.
-    #[must_use]
-    pub fn from_segmented_bus(bus: &SegmentedBus, inner: &SharedBus, mem: &MemoryDesign) -> Self {
-        let (req, arb, grant, _) = inner.latency_breakdown();
-        BusTiming {
-            overhead_cycles: req + arb + grant,
-            broadcast_cycles: bus.broadcast_cycles().max(1),
-            line_beats: LINE_BEATS,
-            update_beats: 2,
-            fill_cycles: fill_cycles(mem, inner.clock_ghz()),
-            ways: inner.ways(),
         }
     }
 

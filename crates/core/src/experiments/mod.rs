@@ -47,11 +47,10 @@ pub use summary::{headline_summary, HeadlineSummary};
 pub use sweeps::{
     ablation_depth_spec, avg_miss_ns, build_system, coherence_geometries, coherence_spec,
     coherence_sweep_artifact, coherence_trace, degraded_eval, degraded_plan, degraded_spec,
-    degraded_sweep_artifact, depth_ablation_from_artifact, depth_grid_eval, depth_grid_spec,
-    depth_sweep_artifact, fig21_from_artifact, fig21_spec, fig21_sweep_artifact,
-    fig27_from_artifact, fig27_spec, fig27_sweep_artifact, geometry_by_name, linspace_temperatures,
-    outcome_value, EngineKind, InjectFaults, SweepOptions, COHERENCE_SWEEP_ACCESSES,
-    DEGRADED_HORIZON_CYCLES, DEGRADED_SCENARIOS, FIG21_NETWORKS,
+    degraded_sweep_artifact, depth_grid_eval, depth_grid_spec, depth_sweep_artifact, fig21_spec,
+    fig21_sweep_artifact, fig27_spec, fig27_sweep_artifact, geometry_by_name,
+    linspace_temperatures, outcome_value, EngineKind, InjectFaults, SweepOptions,
+    COHERENCE_SWEEP_ACCESSES, DEGRADED_HORIZON_CYCLES, DEGRADED_SCENARIOS, FIG21_NETWORKS,
 };
 pub use system_figs::{
     fig03_cpi_stacks, fig17_bus_vs_mesh, fig23_system_performance, fig24_spec_prefetch,

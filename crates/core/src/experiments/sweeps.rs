@@ -4,10 +4,9 @@
 //! fan-out, the Fig. 27 temperature sweep and the depth-sweep ablation —
 //! re-expressed as [`SweepSpec`]s evaluated through
 //! [`cryowire_harness`]: parallel over points, content-addressed cached,
-//! and serialized as [`RunArtifact`]s. Each port decodes its artifact
-//! back into the experiment's typed result, so the legacy single-thread
-//! functions and these harness runs are comparable value-for-value
-//! (asserted in `tests/determinism.rs`).
+//! and serialized as [`RunArtifact`]s. Each point's value is the
+//! experiment's typed point as JSON, so this module's tests hold the
+//! harness runs to the legacy single-thread functions value for value.
 
 use cryowire_coherence::{
     AccessTrace, CacheGeometry, CoherenceConfig, CoherenceMetrics, CoherenceScratch,
@@ -21,8 +20,8 @@ use cryowire_harness::{
 };
 use cryowire_memory::MemoryDesign;
 use cryowire_noc::{
-    CryoBus, LoadLatencyCurve, LoadLatencyPoint, Network, NocKind, RouterClass, RouterNetwork,
-    SharedBus, TrafficPattern,
+    CryoBus, LoadLatencyCurve, Network, NocKind, RouterClass, RouterNetwork, SharedBus,
+    TrafficPattern,
 };
 use cryowire_pipeline::{sweep_depths, CriticalPathModel, DepthPoint};
 use cryowire_system::{EventSimConfig, EventSimulator, SystemDesign, Workload};
@@ -32,7 +31,7 @@ use std::sync::LazyLock;
 
 use super::noc_figs;
 use super::temperature::{fig27_point, FIG27_TEMPERATURES};
-use super::{DepthSweepAblation, Fig21Result, Fig27Result, TemperaturePoint};
+use super::TemperaturePoint;
 use crate::Fidelity;
 
 /// Knobs shared by every harness-backed sweep.
@@ -139,42 +138,11 @@ fn temperature_point_value(p: &TemperaturePoint) -> Value {
     ])
 }
 
-fn f64_field(v: &Value, name: &str) -> f64 {
-    v.get(name)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("artifact value lacks float field `{name}`"))
-}
-
-fn temperature_point_from(v: &Value) -> TemperaturePoint {
-    TemperaturePoint {
-        temperature_k: f64_field(v, "temperature_k"),
-        frequency_ghz: f64_field(v, "frequency_ghz"),
-        v_dd: f64_field(v, "v_dd"),
-        device_power: f64_field(v, "device_power"),
-        cooling_overhead: f64_field(v, "cooling_overhead"),
-        total_power: f64_field(v, "total_power"),
-        performance: f64_field(v, "performance"),
-        perf_per_power: f64_field(v, "perf_per_power"),
-    }
-}
-
 /// Runs Fig. 27 through the harness.
 #[must_use]
 pub fn fig27_sweep_artifact(opts: SweepOptions<'_>) -> RunArtifact {
     opts.build(fig27_spec(), "fig27/v1", 0)
         .run(|point, _seed| temperature_point_value(&fig27_point(point.f64("temperature_k"))))
-}
-
-/// Decodes a [`fig27_sweep_artifact`] run back into the typed result.
-#[must_use]
-pub fn fig27_from_artifact(artifact: &RunArtifact) -> Fig27Result {
-    Fig27Result {
-        points: artifact
-            .points
-            .iter()
-            .map(|r| temperature_point_from(&r.value))
-            .collect(),
-    }
 }
 
 // ------------------------------------------------------------ depth grid
@@ -205,22 +173,6 @@ fn depth_point_value(p: &DepthPoint) -> Value {
         ("ipc_factor".into(), Value::Float(p.ipc_factor)),
         ("net_performance".into(), Value::Float(p.net_performance)),
     ])
-}
-
-fn depth_point_from(v: &Value) -> DepthPoint {
-    let uint = |name: &str| {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| panic!("artifact value lacks integer field `{name}`"))
-            as usize
-    };
-    DepthPoint {
-        max_split: uint("max_split"),
-        added_stages: uint("added_stages"),
-        frequency_ghz: f64_field(v, "frequency_ghz"),
-        ipc_factor: f64_field(v, "ipc_factor"),
-        net_performance: f64_field(v, "net_performance"),
-    }
 }
 
 /// The paper's critical-path model, built once per process: every depth
@@ -259,23 +211,6 @@ pub fn depth_sweep_artifact(spec: SweepSpec, opts: SweepOptions<'_>) -> RunArtif
 #[must_use]
 pub fn ablation_depth_spec() -> SweepSpec {
     depth_grid_spec(&[77.0, 300.0], 4)
-}
-
-/// Decodes an [`ablation_depth_spec`] artifact into the ablation result.
-#[must_use]
-pub fn depth_ablation_from_artifact(artifact: &RunArtifact) -> DepthSweepAblation {
-    let collect = |kelvin: f64| {
-        artifact
-            .points
-            .iter()
-            .filter(|r| (r.params.f64("temperature_k") - kelvin).abs() < 1e-9)
-            .map(|r| depth_point_from(&r.value))
-            .collect()
-    };
-    DepthSweepAblation {
-        at_77k: collect(77.0),
-        at_300k: collect(300.0),
-    }
 }
 
 // ----------------------------------------------------------------- fig21
@@ -333,30 +268,6 @@ fn curve_value(c: &LoadLatencyCurve) -> Value {
     ])
 }
 
-fn curve_from(v: &Value) -> LoadLatencyCurve {
-    LoadLatencyCurve {
-        network: v
-            .get("network")
-            .and_then(Value::as_str)
-            .expect("curve has a network name")
-            .to_string(),
-        points: v
-            .get("points")
-            .and_then(Value::as_array)
-            .expect("curve has points")
-            .iter()
-            .map(|p| LoadLatencyPoint {
-                rate: f64_field(p, "rate"),
-                latency: f64_field(p, "latency"),
-                saturated: p
-                    .get("saturated")
-                    .and_then(Value::as_bool)
-                    .expect("point has saturation flag"),
-            })
-            .collect(),
-    }
-}
-
 /// The Fig. 21 grid: one text axis over the network identifiers. Each
 /// point's value is that network's full load–latency curve.
 #[must_use]
@@ -382,19 +293,6 @@ pub fn fig21_sweep_artifact(fidelity: Fidelity, opts: SweepOptions<'_>) -> RunAr
             .expect("valid sweep");
         curve_value(&curve)
     })
-}
-
-/// Decodes a [`fig21_sweep_artifact`] run back into the typed result.
-#[must_use]
-pub fn fig21_from_artifact(artifact: &RunArtifact) -> Fig21Result {
-    Fig21Result {
-        pattern: "uniform random".to_string(),
-        curves: artifact
-            .points
-            .iter()
-            .map(|r| curve_from(&r.value))
-            .collect(),
-    }
 }
 
 // ------------------------------------------------------- coherence grid
@@ -813,32 +711,53 @@ pub fn degraded_sweep_artifact(
 mod tests {
     use super::*;
 
+    /// A fresh, empty directory under the system temp dir.
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cryowire-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    /// The artifact's point values, in enumeration order.
+    fn values(artifact: &RunArtifact) -> Vec<Value> {
+        artifact.points.iter().map(|r| r.value.clone()).collect()
+    }
+
     #[test]
     fn fig27_port_matches_legacy() {
-        let ported = fig27_from_artifact(&fig27_sweep_artifact(SweepOptions::serial()));
+        let artifact = fig27_sweep_artifact(SweepOptions::serial());
         let legacy = super::super::fig27_temperature_sweep();
-        assert_eq!(ported, legacy);
+        let expected: Vec<Value> = legacy.points.iter().map(temperature_point_value).collect();
+        assert_eq!(values(&artifact), expected);
     }
 
     #[test]
     fn depth_port_matches_legacy() {
         let artifact = depth_sweep_artifact(ablation_depth_spec(), SweepOptions::threaded(2));
-        let ported = depth_ablation_from_artifact(&artifact);
         let legacy = super::super::ablation_depth_sweep();
-        assert_eq!(ported, legacy);
+        // The grid is temperature-major: 77 K's splits, then 300 K's.
+        let expected: Vec<Value> = legacy
+            .at_77k
+            .iter()
+            .chain(&legacy.at_300k)
+            .map(depth_point_value)
+            .collect();
+        assert_eq!(values(&artifact), expected);
     }
 
     #[test]
     fn fig21_port_matches_legacy_curves() {
         let artifact = fig21_sweep_artifact(Fidelity::Quick, SweepOptions::threaded(4));
-        let ported = fig21_from_artifact(&artifact);
         let legacy = super::super::fig21_noc_load_latency(Fidelity::Quick);
-        assert_eq!(ported.curves, legacy.curves);
+        let expected: Vec<Value> = legacy.curves.iter().map(curve_value).collect();
+        assert_eq!(values(&artifact), expected);
     }
 
     #[test]
     fn depth_grid_caches_across_specs() {
-        let cache = ResultCache::new();
+        let dir = fresh_dir("depth-cache");
+        let cache = ResultCache::with_dir(&dir).expect("temp cache dir");
         let opts = SweepOptions::serial().with_cache(&cache);
         let first = depth_sweep_artifact(ablation_depth_spec(), opts);
         assert_eq!(first.stats.evaluated, 8);
@@ -846,6 +765,7 @@ mod tests {
         let wide = depth_sweep_artifact(depth_grid_spec(&[77.0, 150.0, 300.0], 4), opts);
         assert_eq!(wide.stats.cache_hits, 8);
         assert_eq!(wide.stats.evaluated, 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -959,9 +879,7 @@ mod tests {
     #[test]
     fn coherence_grid_resumes_from_journal_byte_identically() {
         let accesses = 64;
-        let dir =
-            std::env::temp_dir().join(format!("cryowire-coherence-sweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = fresh_dir("coherence-sweep");
         let journal = dir.join("coherence.journal");
         let full = coherence_sweep_artifact(accesses, SweepOptions::serial());
         // First run journals every point; the resumed run replays them

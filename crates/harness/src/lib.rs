@@ -6,14 +6,14 @@
 //! wire configurations), evaluate an analytical or simulated model at
 //! every point, and tabulate. This crate factors that shape out:
 //!
-//! * [`SweepSpec`] — declarative grids: free axes (Cartesian
-//!   product), zipped axis groups (lockstep), and explicit points.
+//! * [`SweepSpec`] — declarative grids: named axes (Cartesian
+//!   product) and explicit points.
 //! * [`Executor`] — a scoped worker pool pulling points from a shared
 //!   queue; results are slot-addressed so output order never depends
 //!   on scheduling.
-//! * [`ResultCache`] — content-addressed memory + disk store keyed by
-//!   [`content_key`] over the evaluator tag and the point's canonical
-//!   encoding; overlapping sweeps re-evaluate only new points.
+//! * [`ResultCache`] — a content-addressed directory, one checksummed
+//!   file per [`content_key`] over the evaluator tag and the point's
+//!   canonical encoding; overlapping sweeps re-evaluate only new points.
 //! * [`RunArtifact`] — the JSON-serialisable record of a run:
 //!   per-point parameters, seed, cache provenance, timing and value.
 //! * [`Sweep`] — the driver tying those together.
@@ -50,7 +50,7 @@ pub use cache::{CacheStats, ResultCache};
 pub use executor::{CancelToken, Executor};
 pub use hash::{content_key, point_seed, stable_hash64};
 pub use journal::{JournalHeader, RunJournal};
-pub use spec::{Axis, Point, SweepSpec};
+pub use spec::{Point, SweepSpec};
 pub use supervise::{Failure, FailureClass, SupervisePolicy};
 pub use sweep::Sweep;
 pub use value::ParamValue;

@@ -1,61 +1,20 @@
 //! Sweep specification: named parameter axes composed into grids.
 //!
-//! A [`SweepSpec`] is a list of dimensions, each either a single
-//! [`Axis`] or a group of axes advanced in lockstep (`zip`). The
-//! enumerated point set is the Cartesian product over dimensions, in
-//! row-major order (last dimension fastest), so enumeration order is
-//! deterministic and independent of the executor's thread count.
+//! A [`SweepSpec`] is a list of named axes. The enumerated point set is
+//! the Cartesian product over the axes, in row-major order (last axis
+//! fastest), so enumeration order is deterministic and independent of
+//! the executor's thread count.
 
 use crate::value::ParamValue;
 use serde_json::Value;
 
 /// One named parameter axis.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Axis {
+struct Axis {
     /// Parameter name ("temperature_k", "depth", "network"...).
-    pub name: String,
+    name: String,
     /// The values the axis takes, in sweep order.
-    pub values: Vec<ParamValue>,
-}
-
-impl Axis {
-    /// Creates an axis from anything convertible to parameter values.
-    pub fn new<V: Into<ParamValue>>(
-        name: impl Into<String>,
-        values: impl IntoIterator<Item = V>,
-    ) -> Self {
-        Axis {
-            name: name.into(),
-            values: values.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
-/// One dimension of the grid: a free axis or a zipped axis group.
-#[derive(Debug, Clone, PartialEq)]
-enum Dim {
-    Axis(Axis),
-    Zip(Vec<Axis>),
-}
-
-impl Dim {
-    fn len(&self) -> usize {
-        match self {
-            Dim::Axis(a) => a.values.len(),
-            Dim::Zip(axes) => axes.first().map_or(0, |a| a.values.len()),
-        }
-    }
-
-    fn bind(&self, idx: usize, out: &mut Vec<(String, ParamValue)>) {
-        match self {
-            Dim::Axis(a) => out.push((a.name.clone(), a.values[idx].clone())),
-            Dim::Zip(axes) => {
-                for a in axes {
-                    out.push((a.name.clone(), a.values[idx].clone()));
-                }
-            }
-        }
-    }
+    values: Vec<ParamValue>,
 }
 
 /// One evaluated configuration: an ordered set of named parameters.
@@ -172,19 +131,18 @@ impl serde::Serialize for Point {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     name: String,
-    dims: Vec<Dim>,
+    axes: Vec<Axis>,
     explicit: Vec<Point>,
 }
 
 impl SweepSpec {
-    /// An empty spec; add grids with [`SweepSpec::axis`] /
-    /// [`SweepSpec::zip`] or explicit points with
-    /// [`SweepSpec::point`].
+    /// An empty spec; add grid axes with [`SweepSpec::axis`] or
+    /// explicit points with [`SweepSpec::point`].
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         SweepSpec {
             name: name.into(),
-            dims: Vec::new(),
+            axes: Vec::new(),
             explicit: Vec::new(),
         }
     }
@@ -195,37 +153,17 @@ impl SweepSpec {
         &self.name
     }
 
-    /// Adds a free axis: the grid takes the Cartesian product with it.
+    /// Adds an axis: the grid takes the Cartesian product with it.
     #[must_use]
     pub fn axis<V: Into<ParamValue>>(
         mut self,
         name: impl Into<String>,
         values: impl IntoIterator<Item = V>,
     ) -> Self {
-        self.dims.push(Dim::Axis(Axis::new(name, values)));
-        self
-    }
-
-    /// Adds a group of axes advanced in lockstep (all must have the
-    /// same length): one grid dimension, not a product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the zipped axes differ in length.
-    #[must_use]
-    pub fn zip(mut self, axes: Vec<Axis>) -> Self {
-        if let Some(first) = axes.first() {
-            for a in &axes {
-                assert_eq!(
-                    a.values.len(),
-                    first.values.len(),
-                    "zipped axes must have equal lengths ({} vs {})",
-                    a.name,
-                    first.name
-                );
-            }
-        }
-        self.dims.push(Dim::Zip(axes));
+        self.axes.push(Axis {
+            name: name.into(),
+            values: values.into_iter().map(Into::into).collect(),
+        });
         self
     }
 
@@ -240,10 +178,10 @@ impl SweepSpec {
     /// Number of points the spec enumerates.
     #[must_use]
     pub fn len(&self) -> usize {
-        let grid = if self.dims.is_empty() {
+        let grid = if self.axes.is_empty() {
             0
         } else {
-            self.dims.iter().map(Dim::len).product()
+            self.axes.iter().map(|a| a.values.len()).product()
         };
         grid + self.explicit.len()
     }
@@ -263,24 +201,11 @@ impl SweepSpec {
     ///
     /// Returns a human-readable description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        for dim in &self.dims {
-            match dim {
-                Dim::Axis(a) if a.values.is_empty() => {
-                    return Err(format!(
-                        "sweep `{}`: axis `{}` has no values",
-                        self.name, a.name
-                    ));
-                }
-                Dim::Zip(axes) if dim.len() == 0 => {
-                    let names: Vec<&str> = axes.iter().map(|a| a.name.as_str()).collect();
-                    return Err(format!(
-                        "sweep `{}`: zipped axes [{}] have no values",
-                        self.name,
-                        names.join(", ")
-                    ));
-                }
-                _ => {}
-            }
+        if let Some(a) = self.axes.iter().find(|a| a.values.is_empty()) {
+            return Err(format!(
+                "sweep `{}`: axis `{}` has no values",
+                self.name, a.name
+            ));
         }
         if self.is_empty() {
             return Err(format!(
@@ -291,13 +216,13 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Enumerates every point, row-major (last dimension fastest),
-    /// explicit points last.
+    /// Enumerates every point, row-major (last axis fastest), explicit
+    /// points last.
     #[must_use]
     pub fn points(&self) -> Vec<Point> {
         let mut out = Vec::with_capacity(self.len());
-        if !self.dims.is_empty() {
-            let lens: Vec<usize> = self.dims.iter().map(Dim::len).collect();
+        if !self.axes.is_empty() {
+            let lens: Vec<usize> = self.axes.iter().map(|a| a.values.len()).collect();
             let total: usize = lens.iter().product();
             for mut flat in 0..total {
                 let mut indices = vec![0usize; lens.len()];
@@ -305,10 +230,12 @@ impl SweepSpec {
                     indices[d] = flat % len;
                     flat /= len;
                 }
-                let mut entries = Vec::new();
-                for (dim, &idx) in self.dims.iter().zip(&indices) {
-                    dim.bind(idx, &mut entries);
-                }
+                let entries = self
+                    .axes
+                    .iter()
+                    .zip(&indices)
+                    .map(|(a, &idx)| (a.name.clone(), a.values[idx].clone()))
+                    .collect();
                 out.push(Point { entries });
             }
         }
@@ -333,25 +260,6 @@ mod tests {
         assert_eq!(pts[0].i64("depth"), 1);
         assert_eq!(pts[1].i64("depth"), 2, "last axis fastest");
         assert_eq!(pts[3].f64("t"), 300.0);
-    }
-
-    #[test]
-    fn zip_advances_in_lockstep() {
-        let spec = SweepSpec::new("z").zip(vec![
-            Axis::new("f_ghz", [4.0, 6.4]),
-            Axis::new("vdd", [1.0, 0.7]),
-        ]);
-        let pts = spec.points();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].f64("f_ghz"), 4.0);
-        assert_eq!(pts[0].f64("vdd"), 1.0);
-        assert_eq!(pts[1].f64("vdd"), 0.7);
-    }
-
-    #[test]
-    #[should_panic(expected = "zipped axes must have equal lengths")]
-    fn zip_length_mismatch_panics() {
-        let _ = SweepSpec::new("bad").zip(vec![Axis::new("a", [1i64, 2]), Axis::new("b", [1i64])]);
     }
 
     #[test]

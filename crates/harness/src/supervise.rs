@@ -143,6 +143,9 @@ pub fn classify(payload: &(dyn std::any::Any + Send)) -> Failure {
     Failure { class, message }
 }
 
+/// Upper bound on a single backoff delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 /// Retry/deadline/backoff policy for supervised evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisePolicy {
@@ -152,13 +155,8 @@ pub struct SupervisePolicy {
     /// Total attempts a transient failure is allowed (≥ 1). `1` means
     /// no retries — the pre-supervision behavior.
     pub max_attempts: u32,
-    /// First backoff delay; each further retry doubles it.
+    /// First backoff delay; each further retry doubles it, up to 2 s.
     pub backoff_base: Duration,
-    /// Upper bound on a single backoff delay.
-    pub backoff_cap: Duration,
-    /// Also retry plain panics (off by default: a deterministic
-    /// evaluator panics identically every time).
-    pub retry_panics: bool,
     /// Stop dispatching new points after the first quarantined one.
     /// The artifact still lists every point; undispatched ones are
     /// marked skipped. Which points were skipped depends on timing, so
@@ -175,8 +173,6 @@ impl Default for SupervisePolicy {
             deadline: None,
             max_attempts: 1,
             backoff_base: Duration::from_millis(25),
-            backoff_cap: Duration::from_secs(2),
-            retry_panics: false,
             fail_fast: false,
             pace: Duration::ZERO,
         }
@@ -200,7 +196,7 @@ impl SupervisePolicy {
     #[must_use]
     pub fn backoff(&self, attempt: u32, seed: u64) -> Duration {
         let base = self.backoff_base.as_millis() as u64;
-        let cap = self.backoff_cap.as_millis() as u64;
+        let cap = BACKOFF_CAP.as_millis() as u64;
         let exp = base
             .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
             .min(cap);
@@ -291,9 +287,7 @@ pub fn supervised<T>(
             }
             Err(payload) => {
                 let failure = classify(payload.as_ref());
-                let retryable = failure.class.is_transient()
-                    || (policy.retry_panics && failure.class == FailureClass::Panic);
-                if attempt >= max || !retryable {
+                if attempt >= max || !failure.class.is_transient() {
                     return Supervised {
                         result: Err(failure),
                         attempts: attempt,
@@ -314,7 +308,6 @@ mod tests {
         SupervisePolicy {
             max_attempts,
             backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
             ..SupervisePolicy::default()
         }
     }
@@ -363,21 +356,6 @@ mod tests {
         assert_eq!(s.result.unwrap_err().class, FailureClass::Panic);
         assert_eq!(s.attempts, 1);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn retry_panics_opt_in() {
-        let policy = SupervisePolicy {
-            retry_panics: true,
-            ..quick_policy(2)
-        };
-        let calls = AtomicU32::new(0);
-        let s = supervised(&policy, 7, || -> u32 {
-            calls.fetch_add(1, Ordering::Relaxed);
-            panic!("maybe-flaky");
-        });
-        assert_eq!(s.attempts, 2);
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -440,12 +418,12 @@ mod tests {
         );
         for attempt in 1..12 {
             let d = policy.backoff(attempt, 7);
-            assert!(d <= policy.backoff_cap, "attempt {attempt} capped");
+            assert!(d <= BACKOFF_CAP, "attempt {attempt} capped");
             let exp = policy
                 .backoff_base
                 .as_millis()
                 .saturating_mul(1 << (attempt - 1).min(20))
-                .min(policy.backoff_cap.as_millis());
+                .min(BACKOFF_CAP.as_millis());
             assert!(
                 u128::from(d.as_millis() as u64) >= exp / 2,
                 "attempt {attempt} at least half the exponential step"

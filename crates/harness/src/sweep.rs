@@ -517,7 +517,9 @@ impl Outcome {
 /// first-occurrence representative of every content key, and the list
 /// of indices that the workers resolve (representatives minus journal
 /// replays). Cache hits are not planned: each group's worker probes the
-/// cache itself.
+/// cache itself. Only representatives are dispatched, so no two workers
+/// write one cache entry: the cache's temporary files are named by
+/// process, not by worker.
 struct DispatchPlan {
     keys: Vec<String>,
     seeds: Vec<u64>,
@@ -584,8 +586,7 @@ impl DispatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
-    use crate::spec::Axis;
+    use crate::cache::{CacheStats, TempCache};
 
     fn spec() -> SweepSpec {
         SweepSpec::new("unit")
@@ -601,7 +602,6 @@ mod tests {
         SupervisePolicy {
             max_attempts,
             backoff_base: std::time::Duration::from_millis(1),
-            backoff_cap: std::time::Duration::from_millis(4),
             ..SupervisePolicy::default()
         }
     }
@@ -619,7 +619,7 @@ mod tests {
 
     #[test]
     fn cache_skips_overlapping_points() {
-        let cache = ResultCache::new();
+        let cache = TempCache::new("sweep-overlap");
         let first = Sweep::new(SweepSpec::new("s").axis("x", [1i64, 2]))
             .eval_tag("s/v1")
             .cache(&cache)
@@ -636,7 +636,7 @@ mod tests {
 
     #[test]
     fn eval_tag_namespaces_the_cache() {
-        let cache = ResultCache::new();
+        let cache = TempCache::new("sweep-eval-tag");
         let run = |tag: &str| {
             Sweep::new(SweepSpec::new("s").axis("x", [1i64]))
                 .eval_tag(tag)
@@ -684,7 +684,7 @@ mod tests {
 
     #[test]
     fn failed_points_are_not_cached() {
-        let cache = ResultCache::new();
+        let cache = TempCache::new("sweep-failed");
         let first = Sweep::new(SweepSpec::new("s").axis("x", [1i64]))
             .eval_tag("s/v1")
             .cache(&cache)
@@ -710,11 +710,6 @@ mod tests {
         assert!(SweepSpec::new("ok").axis("x", [1i64]).validate().is_ok());
         let none = SweepSpec::new("none").validate().unwrap_err();
         assert!(none.contains("enumerates no points"), "{none}");
-        let zip = SweepSpec::new("z")
-            .zip(vec![Axis::new("a", Vec::<i64>::new())])
-            .validate()
-            .unwrap_err();
-        assert!(zip.contains("zipped axes [a]"), "{zip}");
     }
 
     #[test]
@@ -788,7 +783,7 @@ mod tests {
     #[test]
     fn batched_groups_see_whole_groups_and_cache_fills() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = ResultCache::new();
+        let cache = TempCache::new("sweep-batch-fill");
         let jobs = AtomicUsize::new(0);
         let spec4 = SweepSpec::new("b")
             .axis("g", [1i64, 2])
@@ -1062,7 +1057,7 @@ mod tests {
     fn batched_cache_hits_are_journaled_so_resume_needs_no_cache() {
         let path = tmp("batched-hits");
         let _ = std::fs::remove_file(&path);
-        let cache = ResultCache::new();
+        let cache = TempCache::new("sweep-batch-journal");
         let cold = Sweep::new(spec_gx())
             .eval_tag("b/v1")
             .cache(&cache)
@@ -1093,8 +1088,8 @@ mod tests {
 
     #[test]
     fn batched_and_scalar_sweeps_count_the_same_cache_lookups() {
-        let scalar = ResultCache::new();
-        let batched = ResultCache::new();
+        let scalar = TempCache::new("sweep-count-scalar");
+        let batched = TempCache::new("sweep-count-batched");
         for _ in 0..2 {
             let _ = Sweep::new(spec_gx())
                 .eval_tag("b/v1")
@@ -1117,7 +1112,7 @@ mod tests {
 
     #[test]
     fn batched_groups_evaluate_only_their_misses_and_keep_their_hits() {
-        let cache = ResultCache::new();
+        let cache = TempCache::new("sweep-batch-misses");
         // Cache the x = 1 member of each group.
         let _ = Sweep::new(SweepSpec::new("b").axis("g", [1i64, 2]).axis("x", [1i64]))
             .eval_tag("b/v1")

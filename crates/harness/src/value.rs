@@ -16,8 +16,6 @@ pub enum ParamValue {
     Float(f64),
     /// Symbolic parameter (design names, topologies, patterns).
     Text(String),
-    /// Boolean parameter (feature toggles).
-    Flag(bool),
 }
 
 impl ParamValue {
@@ -49,15 +47,6 @@ impl ParamValue {
         }
     }
 
-    /// The value as `bool`.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            ParamValue::Flag(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Canonical encoding used for content addressing: unambiguous
     /// across types and bit-exact for floats.
     pub(crate) fn write_canonical(&self, out: &mut String) {
@@ -72,9 +61,6 @@ impl ParamValue {
             ParamValue::Text(s) => {
                 let _ = write!(out, "s{}:{s}", s.len());
             }
-            ParamValue::Flag(b) => {
-                let _ = write!(out, "b{}", u8::from(*b));
-            }
         }
     }
 
@@ -85,7 +71,6 @@ impl ParamValue {
             ParamValue::Int(i) => Value::Int(*i),
             ParamValue::Float(f) => Value::Float(*f),
             ParamValue::Text(s) => Value::String(s.clone()),
-            ParamValue::Flag(b) => Value::Bool(*b),
         }
     }
 }
@@ -102,7 +87,6 @@ impl fmt::Display for ParamValue {
             ParamValue::Int(i) => write!(f, "{i}"),
             ParamValue::Float(x) => write!(f, "{x}"),
             ParamValue::Text(s) => write!(f, "{s}"),
-            ParamValue::Flag(b) => write!(f, "{b}"),
         }
     }
 }
@@ -143,12 +127,6 @@ impl From<String> for ParamValue {
     }
 }
 
-impl From<bool> for ParamValue {
-    fn from(v: bool) -> Self {
-        ParamValue::Flag(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +136,7 @@ mod tests {
         let mut a = String::new();
         let mut b = String::new();
         ParamValue::Int(1).write_canonical(&mut a);
-        ParamValue::Flag(true).write_canonical(&mut b);
+        ParamValue::Text("1".into()).write_canonical(&mut b);
         assert_ne!(a, b);
     }
 
@@ -176,7 +154,7 @@ mod tests {
         assert_eq!(ParamValue::Int(7).as_f64(), Some(7.0));
         assert_eq!(ParamValue::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(ParamValue::Text("x".into()).as_str(), Some("x"));
-        assert_eq!(ParamValue::Flag(true).as_bool(), Some(true));
+        assert_eq!(ParamValue::Float(2.5).as_i64(), None);
         assert_eq!(ParamValue::Text("x".into()).as_i64(), None);
     }
 }

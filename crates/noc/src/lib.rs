@@ -42,7 +42,6 @@ pub mod load_latency;
 pub mod route_cache;
 pub mod router;
 pub mod router_timing;
-pub mod segmented_bus;
 pub mod sim;
 pub mod topology;
 pub mod traffic;
@@ -60,7 +59,6 @@ pub use load_latency::{
 pub use route_cache::PathTable;
 pub use router::{NextHopTable, RouterClass, RouterNetwork};
 pub use router_timing::{RouterStage, RouterTimingModel};
-pub use segmented_bus::SegmentedBus;
 pub use sim::{Network, PacketLeg, SimConfig, SimResult, SimScratch, Simulator};
 pub use topology::{NocKind, Topology};
 pub use traffic::TrafficPattern;

@@ -1,8 +1,8 @@
 //! Memoized routing: the flat route table behind the simulator hot loop.
 //!
 //! The table serves every network without a
-//! [`NextHopTable`](crate::router::NextHopTable) — the buses, CryoBus,
-//! the segmented bus and the hybrid — on every run, and every network
+//! [`NextHopTable`](crate::router::NextHopTable) — the buses, CryoBus
+//! and the hybrid — on every run, and every network
 //! under faults (one table per dead-set epoch, the empty one included),
 //! because detours are not suffix-closed. A router network's fault-free
 //! runs walk its next-hop table instead and build no table here.

@@ -23,9 +23,9 @@
 //!   packet's next router onward is the rest of its route — so one R×R
 //!   table of next hops, built with the network, holds them all, and a
 //!   packet's legs are generated hop by hop as it is reserved.
-//! - Every other network (the buses, CryoBus, the segmented bus, the
-//!   hybrid), and every faulted run, memoizes routes per
-//!   `(network, dead-set epoch)` in a flat [`PathTable`] arena (legal
+//! - Every other network (the buses, CryoBus, the hybrid), and every
+//!   faulted run, memoizes routes per `(network, dead-set epoch)` in a
+//!   flat [`PathTable`] arena (legal
 //!   because routing is a pure function of
 //!   `(route_group(src), route_group(dst), tag % route_classes, dead)` —
 //!   see [`Network::route_group`] and [`Network::route_classes`]). Keyed
@@ -170,8 +170,8 @@ pub trait Network {
     /// `tag % route_classes(dead)`, and that class `c` is reproduced by
     /// the representative tag `c as u64`. The default of 1 declares the
     /// network tag-independent (routes ignore the tag entirely), which
-    /// holds for the router networks and segmented buses; interleaved
-    /// buses override this with their live way count.
+    /// holds for the router networks; interleaved buses override this
+    /// with their live way count.
     fn route_classes(&self, dead: &[usize]) -> usize {
         let _ = dead;
         1
@@ -184,9 +184,8 @@ pub trait Network {
     /// [`Network::path_avoiding`] see `src` and `dst` only through
     /// their groups: two cores of one group route alike, as sources and
     /// as destinations, under every dead set. The default makes every
-    /// core its own group; buses and CryoBus have one group, the
-    /// segmented bus one per segment, the hybrid one per cluster and a
-    /// router network one per router.
+    /// core its own group; buses and CryoBus have one group, the hybrid
+    /// one per cluster and a router network one per router.
     fn route_group(&self, core: usize) -> usize {
         core
     }

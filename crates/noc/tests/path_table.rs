@@ -2,8 +2,8 @@
 //! legs to direct `Network::path`/`path_avoiding` calls for random
 //! `(src, dst, tag, dead-set)` samples on every network family — the
 //! conventional and H-tree shared buses (1- and 4-way), the 1- and 2-way
-//! CryoBus, the segmented bus, the 1- and 2-way 256-node hybrid CryoBus,
-//! and the mesh, CMesh and flattened butterfly — i.e. the
+//! CryoBus, the 1- and 2-way 256-node hybrid CryoBus, and the mesh,
+//! CMesh and flattened butterfly — i.e. the
 //! [`Network::route_classes`] contract holds for every concrete network.
 //! So does the [`Network::route_group`] contract: two cores of one group
 //! route alike, as sources and as destinations, with and without dead
@@ -12,7 +12,7 @@
 use cryowire_device::Temperature;
 use cryowire_noc::{
     BusKind, CryoBus, HybridCryoBus, Network, NocKind, PathTable, RouterClass, RouterNetwork,
-    SegmentedBus, SharedBus, TrafficPattern,
+    SharedBus, TrafficPattern,
 };
 use proptest::prelude::*;
 
@@ -30,7 +30,6 @@ fn networks() -> Vec<Box<dyn Network>> {
         Box::new(SharedBus::with_kind(BusKind::Conventional, 64, t77, 4).expect("valid bus")),
         Box::new(CryoBus::new(64, t77)),
         Box::new(CryoBus::two_way(64, t77)),
-        Box::new(SegmentedBus::new(64, 4, t77).expect("valid bus")),
         Box::new(HybridCryoBus::c256(t77, 1)),
         Box::new(HybridCryoBus::c256(t77, 2)),
     ]
@@ -156,8 +155,6 @@ fn route_groups_size_the_tables() {
     table.rebuild(&HybridCryoBus::c256(t77, 2), &[]);
     assert_eq!(table.len(), 32);
     table.rebuild(&HybridCryoBus::c256(t77, 1), &[]);
-    assert_eq!(table.len(), 16);
-    table.rebuild(&SegmentedBus::new(64, 4, t77).expect("valid bus"), &[]);
     assert_eq!(table.len(), 16);
     let cmesh =
         RouterNetwork::new(NocKind::CMesh, 64, RouterClass::OneCycle, t77).expect("valid network");

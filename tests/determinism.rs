@@ -4,6 +4,14 @@
 
 use cryowire::experiments::{self, Fidelity};
 
+/// A fresh, empty directory under the system temp dir.
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cryowire-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
 fn analytic_experiments_are_deterministic() {
     assert_eq!(
@@ -93,7 +101,8 @@ fn overlapping_sweeps_only_evaluate_new_points() {
     use cryowire::experiments::SweepOptions;
     use cryowire_harness::ResultCache;
 
-    let cache = ResultCache::new();
+    let dir = fresh_dir("overlap-cache");
+    let cache = ResultCache::with_dir(&dir).unwrap();
     let opts = SweepOptions::threaded(4).with_cache(&cache);
     let narrow =
         experiments::depth_sweep_artifact(experiments::depth_grid_spec(&[77.0, 300.0], 4), opts);
@@ -116,6 +125,7 @@ fn overlapping_sweeps_only_evaluate_new_points() {
         SweepOptions::serial(),
     );
     assert_eq!(wide.canonical_json(), fresh.canonical_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -125,8 +135,7 @@ fn disk_cache_round_trips_bit_exactly() {
     use cryowire::experiments::SweepOptions;
     use cryowire_harness::ResultCache;
 
-    let dir = std::env::temp_dir().join(format!("cryowire-sweep-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir("sweep-cache");
     let cold = {
         let cache = ResultCache::with_dir(&dir).unwrap();
         experiments::fig27_sweep_artifact(SweepOptions::threaded(2).with_cache(&cache))
