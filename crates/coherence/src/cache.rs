@@ -253,13 +253,6 @@ impl PrivateCache {
         self.find(line).map(|e| e.version)
     }
 
-    /// Both [`state`](Self::state) and [`version`](Self::version) in
-    /// one tag-match scan — the snoop walk over other cores' caches.
-    #[must_use]
-    pub fn state_version(&self, line: u64) -> Option<(LineState, u64)> {
-        self.find(line).map(|e| (e.state, e.version))
-    }
-
     /// Touches `line` for LRU and returns its (state, version), or
     /// `None` on a miss.
     pub fn probe(&mut self, line: u64) -> Option<(LineState, u64)> {

@@ -1,22 +1,28 @@
-//! Shared engine plumbing and the one-stop [`CoherenceSystem`] facade.
+//! The run loop both coherence engines share, and the one-stop
+//! [`CoherenceSystem`] facade.
 //!
-//! Both cycle-level engines — the snooping bus and the directory mesh,
-//! which [`CoherenceSystem::run`] picks by fabric — share the same run
-//! anatomy: per-core in-order streams with a single MSHR each,
-//! transitions applied at the fabric serialization point, completions
-//! delivered through a delayed event queue, and a progress watchdog.
-//! The types here hold that shared state; [`CoherenceScratch`] owns
-//! every reusable allocation so a sweep re-runs hundreds of configs
-//! without steady-state allocation (the PR-3/PR-4 discipline).
+//! The snooping bus and the directory mesh, which
+//! [`CoherenceSystem::run`] picks by fabric, share one run anatomy and
+//! therefore one loop, here: per-core in-order streams with a single
+//! MSHR each, the one-cycle hit path, completions delivered through a
+//! delayed event queue, fault change points, an event skip driven by
+//! the `issuable` core mask, and a progress watchdog. What a raised
+//! miss does between issue and completion is the fabric's: the loop is
+//! generic over a crate-private fabric step, the bus grant in
+//! [`snoop`](mod@crate::snoop) or the home step in
+//! [`directory`](mod@crate::directory), each beside its protocol. Both
+//! are monomorphized, so the loop makes no dynamic call per cycle.
+//! [`CoherenceScratch`] owns every reusable allocation so a sweep
+//! re-runs hundreds of configs without steady-state allocation.
 //!
 //! Per-line state lives in **flat arenas** indexed by the trace's
 //! interned line index ([`AccessTrace::line_indices`]): `latest`,
 //! `memory`, the directory entries, and the MSHR line-blocking mask are
 //! dense `Vec`s sized [`AccessTrace::num_lines`], so the hot loops
-//! never hash. Directory sharer sets are `u128` bitmasks (≤ 128
-//! cores). The retained hash-map engines live in [`crate::baseline`]
-//! (behind `reference-sim`) as the bit-identity oracle and the
-//! denominator of the `bench-engines` coherence speedup.
+//! never hash. Per-core sets are `u128` bitmasks, so a run takes at
+//! most 128 cores. The retained hash-map engines live in
+//! [`crate::baseline`] (behind `reference-sim`) as the bit-identity
+//! oracle and the denominator of the `bench-engines` coherence speedup.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,11 +32,11 @@ use cryowire_memory::llc_path::CoherenceStyle;
 use cryowire_memory::MemoryDesign;
 use cryowire_noc::{CryoBus, MatrixArbiter, RouterNetwork, SharedBus};
 
-use crate::cache::{CacheGeometry, PrivateCache};
-use crate::directory::DirectoryEngine;
+use crate::cache::{CacheGeometry, LineState, PrivateCache};
+use crate::directory::{DirEntry, HomeStep};
 use crate::error::CoherenceError;
-use crate::metrics::CommitEntry;
-use crate::snoop::{SnoopEngine, SnoopFabric};
+use crate::metrics::{CoherenceMetrics, CommitEntry};
+use crate::snoop::{verify_all_line_invariants, verify_line_invariant, BusGrant, SnoopFabric};
 use crate::timing::DirectoryTiming;
 use crate::trace::AccessTrace;
 
@@ -95,16 +101,6 @@ pub(crate) struct PendingOp {
     pub(crate) issued_at: u64,
 }
 
-/// A directory entry: the exclusive holder (E or M — E can upgrade
-/// silently, so the home must treat it as a potential owner) and the
-/// S-state sharer bitmask (`u128`, so the mesh engine scales to 128
-/// cores).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DirEntry {
-    pub(crate) owner: Option<usize>,
-    pub(crate) sharers: u128,
-}
-
 /// Reusable run state: caches, queues, per-line arenas, and every
 /// formerly per-run buffer (arbiters, way/request scratch, fault change
 /// points, the fault-epoch directory table). Reusing one scratch across
@@ -124,7 +120,6 @@ pub struct CoherenceScratch {
     /// Backing-store version per interned line (updated by
     /// flush/writeback).
     pub(crate) memory: Vec<u64>,
-    pub(crate) requests: Vec<bool>,
     pub(crate) pending: Vec<Option<PendingOp>>,
     pub(crate) ready_at: Vec<u64>,
     pub(crate) next_idx: Vec<usize>,
@@ -170,7 +165,7 @@ impl CoherenceScratch {
 
     /// Prepares the scratch for `cores` caches of `geometry` over
     /// `num_lines` interned lines, reallocating only when a shape grew.
-    pub(crate) fn ensure(
+    fn ensure(
         &mut self,
         cores: usize,
         geometry: CacheGeometry,
@@ -216,8 +211,6 @@ impl CoherenceScratch {
         self.holders.resize(num_lines, 0);
         self.dir.clear();
         self.dir.resize(num_lines, DirEntry::default());
-        self.requests.clear();
-        self.requests.resize(cores, false);
         self.pending.clear();
         self.pending.resize(cores, None);
         self.ready_at.clear();
@@ -226,30 +219,298 @@ impl CoherenceScratch {
         self.next_idx.resize(cores, 0);
         self.completions.clear();
         self.commits.clear();
-        self.home_busy.clear();
         Ok(())
     }
+}
 
-    /// Prepares the snoop engine's arbitration scratch: one matrix
-    /// arbiter per way, reset in place when the shape is unchanged.
-    pub(crate) fn ensure_arbiters(&mut self, ways: usize, cores: usize) {
-        if self.arbiters.len() != ways || self.arbiter_cores != cores {
-            self.arbiters.clear();
-            self.arbiters
-                .extend((0..ways).map(|_| MatrixArbiter::new(cores)));
-            self.arbiter_cores = cores;
+/// The fabric half of a run: how a raised miss serializes. The loop
+/// calls each hook at a fixed point of its cycle; the defaults suit a
+/// fabric that rescans its raised requests every cycle it serves.
+pub(crate) trait FabricStep {
+    /// Re-prices the fabric under the faults active at `cycle`, a fault
+    /// change point.
+    fn reprice(&mut self, cycle: u64) -> Result<(), CoherenceError>;
+
+    /// The interleaving way serving `line`, carried in the MSHR.
+    fn way_of(&self, _line: u64) -> u32 {
+        0
+    }
+
+    /// Core `core` just raised its miss `op`.
+    fn raise(&mut self, _core: usize, _op: PendingOp, _scratch: &mut CoherenceScratch) {}
+
+    /// `op`'s transaction completed and unblocked its line; `raised`
+    /// holds the cores whose requests still wait to serialize.
+    fn line_freed(&mut self, _op: PendingOp, _raised: u128, _scratch: &mut CoherenceScratch) {}
+
+    /// Serializes what the fabric takes at `cycle`, each transaction
+    /// through [`RunState::commit`].
+    fn serve(&mut self, cycle: u64, run: &mut RunState, scratch: &mut CoherenceScratch);
+
+    /// The earliest cycle at which the fabric can serve a raised
+    /// request again (`u64::MAX` for none); `change` is the next fault
+    /// change point.
+    fn next_event(&self, raised: u128, change: Option<u64>, scratch: &CoherenceScratch) -> u64;
+}
+
+/// What the loop shares with its fabric step during one run.
+pub(crate) struct RunState {
+    pub(crate) protocol: Protocol,
+    pub(crate) metrics: CoherenceMetrics,
+    /// Bit `c` set while core `c`'s miss waits for the fabric to
+    /// serialize it.
+    pub(crate) raised: u128,
+    record_commits: bool,
+    /// Tie-breaker of completions due in the same cycle: serialization
+    /// order.
+    seq: u64,
+}
+
+impl RunState {
+    /// Records one serialized access in the commit log, if the run
+    /// keeps one.
+    fn record(&self, commits: &mut Vec<CommitEntry>, core: usize, line: u64, write: bool, v: u64) {
+        if self.record_commits {
+            commits.push(CommitEntry {
+                core,
+                line,
+                write,
+                version: v,
+            });
+        }
+    }
+
+    /// Commits `core`'s transaction `op` at the fabric's serialization
+    /// point: logs the committed `version`, blocks the line until the
+    /// data arrives, and queues the completion at cycle `done`.
+    pub(crate) fn commit(
+        &mut self,
+        core: usize,
+        op: PendingOp,
+        version: u64,
+        done: u64,
+        scratch: &mut CoherenceScratch,
+    ) {
+        debug_assert!(
+            verify_line_invariant(
+                self.protocol,
+                &scratch.caches,
+                op.line,
+                scratch.latest[op.idx as usize]
+            ),
+            "protocol invariant broken serializing line {}",
+            op.line
+        );
+        self.record(&mut scratch.commits, core, op.line, op.write, version);
+        self.raised &= !(1u128 << core);
+        scratch.inflight[op.idx as usize] = true;
+        self.seq += 1;
+        scratch.completions.push(Reverse((done, self.seq, core)));
+    }
+
+    /// Counts one completed access of `latency` cycles that ended at
+    /// cycle `end`.
+    fn retire(&mut self, write: bool, latency: u64, end: u64) {
+        let m = &mut self.metrics;
+        m.accesses += 1;
+        if write {
+            m.writes += 1;
         } else {
-            for a in &mut self.arbiters {
-                a.reset();
+            m.reads += 1;
+        }
+        m.total_latency_cycles += latency;
+        m.max_latency_cycles = m.max_latency_cycles.max(latency);
+        m.cycles = m.cycles.max(end);
+    }
+}
+
+/// Moves `core` past its retired reference: the next one is ready its
+/// think time after cycle `free`. Returns `issuable` with the core's
+/// bit set while its stream lasts.
+fn advance(
+    core: usize,
+    free: u64,
+    issuable: u128,
+    trace: &AccessTrace,
+    scratch: &mut CoherenceScratch,
+) -> u128 {
+    scratch.next_idx[core] += 1;
+    match trace.stream(core).get(scratch.next_idx[core]) {
+        Some(a) => {
+            scratch.ready_at[core] = free + u64::from(a.think);
+            issuable | 1u128 << core
+        }
+        None => {
+            scratch.ready_at[core] = free;
+            issuable & !(1u128 << core)
+        }
+    }
+}
+
+/// Runs `trace` to completion with `fabric` serializing the misses, on
+/// a scratch [`CoherenceScratch::ensure`] prepared.
+fn run_loop<F: FabricStep>(
+    fabric: &mut F,
+    trace: &AccessTrace,
+    config: &CoherenceConfig,
+    schedule: Option<&FaultSchedule>,
+    scratch: &mut CoherenceScratch,
+) -> Result<RunOutcome, CoherenceError> {
+    let total = trace.total_accesses();
+    let watchdog_limit = total
+        .saturating_mul(config.watchdog_cycles_per_access)
+        .saturating_add(100_000);
+    match schedule {
+        Some(s) => s.change_points_into(&mut scratch.change_points),
+        None => scratch.change_points.clear(),
+    }
+    let mut change_idx = 0;
+    let mut run = RunState {
+        protocol: config.protocol,
+        metrics: CoherenceMetrics::default(),
+        raised: 0,
+        record_commits: config.record_commits,
+        seq: 0,
+    };
+    let mut cycle = 0u64;
+    let stalled = |cycle, completed| CoherenceError::Stalled {
+        cycle,
+        completed,
+        pending: total - completed,
+    };
+
+    // Initial think time before each core's first reference. Bit `c` of
+    // `issuable` is set while core `c` has no MSHR in use and
+    // references left in its stream — the only cores the issue and
+    // next-event steps ever look at.
+    let mut issuable: u128 = 0;
+    for core in 0..trace.cores() {
+        scratch.ready_at[core] = trace.stream(core).first().map_or(0, |a| u64::from(a.think));
+        if !trace.stream(core).is_empty() {
+            issuable |= 1u128 << core;
+        }
+    }
+
+    loop {
+        if cycle > watchdog_limit {
+            return Err(stalled(cycle, run.metrics.accesses));
+        }
+        // Fault epoch: re-price the fabric past each change point.
+        while change_idx < scratch.change_points.len() && cycle >= scratch.change_points[change_idx]
+        {
+            fabric.reprice(cycle)?;
+            change_idx += 1;
+        }
+
+        // 1. Deliver due completions: data arrives, the MSHR frees.
+        while let Some(&Reverse((when, _, core))) = scratch.completions.peek() {
+            if when > cycle {
+                break;
+            }
+            scratch.completions.pop();
+            let op = scratch.pending[core]
+                .take()
+                .expect("completion without MSHR");
+            scratch.inflight[op.idx as usize] = false;
+            fabric.line_freed(op, run.raised, scratch);
+            run.metrics.misses += 1;
+            run.retire(op.write, when - op.issued_at, when);
+            issuable = advance(core, when + 1, issuable, trace, scratch);
+        }
+
+        // 2. Ready cores issue their next reference: a hit completes in
+        //    one cycle, a miss takes the MSHR and raises a request.
+        let mut issue = issuable;
+        while issue != 0 {
+            let core = issue.trailing_zeros() as usize;
+            issue &= issue - 1;
+            if scratch.ready_at[core] > cycle {
+                continue;
+            }
+            let at = scratch.next_idx[core];
+            let a = trace.stream(core)[at];
+            let idx = trace.line_indices(core)[at];
+            // The interned table already holds `line_of(a.addr)`.
+            let line = trace.lines()[idx as usize];
+            let probed = scratch.caches[core].probe(line);
+            let state = probed.map_or(LineState::Invalid, |(s, _)| s);
+            let hit = match (a.write, state) {
+                (false, s) if s.is_present() => true,
+                (true, LineState::Modified | LineState::Exclusive) => true,
+                _ => false,
+            };
+            if hit {
+                let version = if a.write {
+                    // Silent E→M: an exclusive holder owes the fabric
+                    // nothing (a directory already tracks it as owner).
+                    scratch.latest[idx as usize] += 1;
+                    let v = scratch.latest[idx as usize];
+                    scratch.caches[core].update(line, LineState::Modified, Some(v));
+                    v
+                } else {
+                    let v = probed.expect("hit line is resident").1;
+                    debug_assert_eq!(
+                        v, scratch.latest[idx as usize],
+                        "read hit observed a stale version on line {line}"
+                    );
+                    v
+                };
+                run.record(&mut scratch.commits, core, line, a.write, version);
+                run.metrics.hits += 1;
+                run.retire(a.write, 1, cycle + 1);
+                issuable = advance(core, cycle + 1, issuable, trace, scratch);
+            } else {
+                let op = PendingOp {
+                    line,
+                    idx,
+                    way: fabric.way_of(line),
+                    write: a.write,
+                    issued_at: cycle,
+                };
+                scratch.pending[core] = Some(op);
+                run.raised |= 1u128 << core;
+                issuable &= !(1u128 << core);
+                fabric.raise(core, op, scratch);
             }
         }
-        self.way_busy.clear();
-        self.way_busy.resize(ways, 0);
-        self.req_buf.clear();
-        self.req_buf.resize(cores, false);
-        self.arb_mask.clear();
-        self.arb_mask.resize(ways, 0);
+
+        // 3. The fabric serializes what it can take this cycle.
+        fabric.serve(cycle, &mut run, scratch);
+
+        // 4. Done?
+        if run.metrics.accesses == total && scratch.completions.is_empty() {
+            break;
+        }
+
+        // 5. Jump to the next interesting cycle.
+        let change = scratch.change_points.get(change_idx).copied();
+        let mut next = fabric.next_event(run.raised, change, scratch);
+        if let Some(&Reverse((when, _, _))) = scratch.completions.peek() {
+            next = next.min(when);
+        }
+        let mut waiting = issuable;
+        while waiting != 0 {
+            let core = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            next = next.min(scratch.ready_at[core]);
+        }
+        if next == u64::MAX {
+            // No event can ever fire again; only legal if finished.
+            return Err(stalled(cycle, run.metrics.accesses));
+        }
+        cycle = next.max(cycle + 1);
     }
+
+    debug_assert!(verify_all_line_invariants(
+        config.protocol,
+        &scratch.caches,
+        trace.lines(),
+        &scratch.latest
+    ));
+    Ok(RunOutcome {
+        metrics: run.metrics,
+        commits: std::mem::take(&mut scratch.commits),
+    })
 }
 
 /// The interconnect a [`CoherenceSystem`] owns.
@@ -346,7 +607,8 @@ impl CoherenceSystem {
     /// [`CoherenceError::InvalidConfig`] for a Dragon `config` on a
     /// directory system (the directory engine is MESI-only — update
     /// broadcasts do not map to point-to-point forwarding), an invalid
-    /// geometry, or a trace with more cores than the fabric serves;
+    /// geometry, a trace of more than 128 cores, or more cores than a
+    /// mesh has nodes (each core is attached to one node);
     /// [`CoherenceError::Stalled`] if the watchdog fires — e.g. a fault
     /// severed every route between a core and a line's home.
     pub fn run(
@@ -356,32 +618,41 @@ impl CoherenceSystem {
         schedule: Option<&FaultSchedule>,
         scratch: &mut CoherenceScratch,
     ) -> Result<RunOutcome, CoherenceError> {
-        match &self.fabric {
-            SystemFabric::CryoBus(bus) => SnoopEngine::new(*config)?.run(
-                trace,
-                SnoopFabric::CryoBus(bus),
-                &self.mem,
-                schedule,
-                scratch,
-            ),
-            SystemFabric::SharedBus(bus) => SnoopEngine::new(*config)?.run(
-                trace,
-                SnoopFabric::SharedBus(bus),
-                &self.mem,
-                schedule,
-                scratch,
-            ),
-            SystemFabric::Mesh { network, clock_ghz } => DirectoryEngine::new(*config)?.run(
-                trace,
-                network,
-                *clock_ghz,
-                &self.mem,
-                schedule,
-                scratch,
-                self.dir_timing
-                    .as_ref()
-                    .expect("a mesh system prices its paths"),
-            ),
+        let invalid = |reason: String| Err(CoherenceError::InvalidConfig { reason });
+        let cores = trace.cores();
+        if self.dir_timing.is_some() && config.protocol == Protocol::Dragon {
+            return invalid("the directory engine supports MESI only".to_string());
         }
+        config.geometry.validate()?;
+        if cores > 128 {
+            return invalid(format!("the engines model up to 128 cores, got {cores}"));
+        }
+        if let Some(base) = &self.dir_timing {
+            if cores > base.nodes() {
+                return invalid(format!(
+                    "a mesh attaches one core per node, got {cores} cores over {} nodes",
+                    base.nodes()
+                ));
+            }
+        }
+        scratch.ensure(cores, config.geometry, trace.num_lines())?;
+        let bus = match &self.fabric {
+            SystemFabric::CryoBus(bus) => SnoopFabric::CryoBus(bus),
+            SystemFabric::SharedBus(bus) => SnoopFabric::SharedBus(bus),
+            SystemFabric::Mesh { network, clock_ghz } => {
+                let base = self.dir_timing.as_ref().expect("a mesh prices its paths");
+                let mut home =
+                    HomeStep::new(network, *clock_ghz, &self.mem, schedule, base, scratch);
+                // Under a schedule, the epoch table is built for cycle 0
+                // before the loop starts.
+                let result = home
+                    .reprice(0)
+                    .and_then(|()| run_loop(&mut home, trace, config, schedule, scratch));
+                home.restore(scratch);
+                return result;
+            }
+        };
+        let mut grant = BusGrant::new(bus, &self.mem, schedule, scratch);
+        run_loop(&mut grant, trace, config, schedule, scratch)
     }
 }

@@ -9,18 +9,22 @@
 //!
 //! - [`CoherenceSystem`] — a fabric and a memory design with one
 //!   [`run`](CoherenceSystem::run) call, which takes the engine
-//!   configuration per run and picks the engine by fabric:
-//!   - on a bus, the [`snoop`](mod@snoop) engine: MESI *and* Dragon
-//!     (update-based) over an arbitrated broadcast bus. Per-core
-//!     blocking caches with one MSHR each, a
+//!   configuration per run, validates it once for both fabrics, and
+//!   drives the one run loop in [`engine`](mod@engine): per-core
+//!   blocking caches with one MSHR each, the one-cycle hit path,
+//!   delayed completions, the event skip and the watchdog. The loop is
+//!   generic over the fabric's step, which each fabric module holds
+//!   beside its protocol:
+//!   - on a bus, the [`snoop`](mod@snoop) bus grant: MESI *and* Dragon
+//!     (update-based) over an arbitrated broadcast bus. A
 //!     [`MatrixArbiter`](cryowire_noc::MatrixArbiter) per interleaving
 //!     way, snoop transitions at grant time (the bus serialization
-//!     point), cache-to-cache transfers, and delayed completions priced
-//!     by the bus's own phase decomposition;
-//!   - on a mesh, the [`directory`](mod@directory) engine: MESI over a
-//!     routed mesh, with per-pair message latencies from the network's
-//!     actual paths, owner forwarding and parallel invalidation fan-out
-//!     at each line's home.
+//!     point), cache-to-cache transfers, and completions priced by the
+//!     bus's own phase decomposition;
+//!   - on a mesh, the [`directory`](mod@directory) home step: MESI over
+//!     a routed mesh, with per-pair message latencies from the
+//!     network's actual paths, owner forwarding and parallel
+//!     invalidation fan-out at each line's home.
 //! - [`TraceGenConfig`] — deterministic sharing-pattern traces
 //!   (barrier-heavy, producer–consumer, private streaming) seeded from
 //!   the calibrated PARSEC workload profiles.

@@ -1,18 +1,19 @@
-//! The cycle-level snooping engine: blocking private caches, per-core
-//! MSHRs, matrix-arbitrated bus transactions, cache-to-cache transfers,
-//! and a delayed-completion queue (the `cachesim-rs-mp` stepping model).
+//! The snooping fabric: the bus grant step and the MESI and Dragon
+//! snoop transitions.
 //!
-//! Each core executes its access stream in order. A hit costs one cycle;
-//! a miss or ownership upgrade allocates the core's single MSHR, raises
-//! a request line, and halts the core until the transaction's data
-//! arrives. A [`MatrixArbiter`](cryowire_noc::MatrixArbiter) per
+//! The run loop in [`engine`](mod@crate::engine) executes each core's
+//! stream in order: a hit costs one cycle; a miss or ownership upgrade
+//! allocates the core's single MSHR, raises a request line, and halts
+//! the core until the transaction's data arrives. This module's step
+//! decides what happens in between. A [`MatrixArbiter`] per
 //! interleaving way grants one request per free way per cycle
 //! (least-recently-granted, the CryoBus Fig. 19 mechanism); snoop state
 //! transitions are applied at **grant** time — the bus serialization
-//! point — and the data completion is delivered through a delayed event
-//! queue priced by [`BusTiming`]. Lines with an in-flight transaction
-//! are masked from arbitration (MSHR-style line blocking), so two
-//! transactions never race on one line.
+//! point — and the data completion is queued at a delay priced by
+//! [`BusTiming`]. Lines with an in-flight transaction are masked from
+//! arbitration (MSHR-style line blocking), so two transactions never
+//! race on one line; a completion re-raises the requests parked on its
+//! line.
 //!
 //! Per-line state (version serials, backing-store versions, the
 //! in-flight mask) lives in flat arenas indexed by the trace's interned
@@ -22,20 +23,17 @@
 //! map per access; the exhaustive sweep over every interned line
 //! ([`verify_all_line_invariants`]) runs once at end of run.
 //!
-//! Both MESI and Dragon (4-state, update-based) run on this engine; the
+//! Both MESI and Dragon (4-state, update-based) run on this fabric; the
 //! protocol decides what a grant does to the other caches.
-
-use std::cmp::Reverse;
 
 use cryowire_faults::FaultSchedule;
 use cryowire_memory::MemoryDesign;
-use cryowire_noc::{CryoBus, SharedBus};
+use cryowire_noc::{CryoBus, MatrixArbiter, SharedBus};
 
 use crate::cache::{LineState, PrivateCache};
-use crate::engine::{CoherenceConfig, CoherenceScratch, PendingOp, Protocol, RunOutcome};
+use crate::engine::{CoherenceScratch, FabricStep, PendingOp, Protocol, RunState};
 use crate::error::CoherenceError;
 use crate::metrics::CoherenceMetrics;
-use crate::metrics::CommitEntry;
 use crate::timing::BusTiming;
 
 /// The snooping fabric a run prices through.
@@ -75,317 +73,143 @@ impl SnoopFabric<'_> {
     }
 }
 
-/// The snooping-bus coherence engine, run through
-/// [`CoherenceSystem::run`](crate::CoherenceSystem::run).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SnoopEngine {
-    config: CoherenceConfig,
+/// The bus grant: the snooping fabric's step of the shared run loop.
+pub(crate) struct BusGrant<'a> {
+    fabric: SnoopFabric<'a>,
+    mem: &'a MemoryDesign,
+    schedule: Option<&'a FaultSchedule>,
+    /// Prices of the current fault epoch.
+    timing: BusTiming,
+    /// Interleaving ways, fixed at the fault-free shape.
+    ways: usize,
 }
 
-impl SnoopEngine {
-    /// Creates the engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates geometry validation.
-    pub(crate) fn new(config: CoherenceConfig) -> Result<Self, CoherenceError> {
-        config.geometry.validate()?;
-        Ok(SnoopEngine { config })
+impl<'a> BusGrant<'a> {
+    /// Prices the bus at cycle 0 and readies one matrix arbiter per way
+    /// in `scratch`, reset in place when the shape is unchanged.
+    pub(crate) fn new(
+        fabric: SnoopFabric<'a>,
+        mem: &'a MemoryDesign,
+        schedule: Option<&'a FaultSchedule>,
+        scratch: &mut CoherenceScratch,
+    ) -> Self {
+        let timing = fabric.timing_at(mem, schedule, 0);
+        let ways = timing.ways.max(1);
+        let cores = scratch.caches.len();
+        if scratch.arbiters.len() != ways || scratch.arbiter_cores != cores {
+            scratch.arbiters.clear();
+            scratch
+                .arbiters
+                .extend((0..ways).map(|_| MatrixArbiter::new(cores)));
+            scratch.arbiter_cores = cores;
+        } else {
+            for a in &mut scratch.arbiters {
+                a.reset();
+            }
+        }
+        scratch.way_busy.clear();
+        scratch.way_busy.resize(ways, 0);
+        scratch.req_buf.clear();
+        scratch.req_buf.resize(cores, false);
+        scratch.arb_mask.clear();
+        scratch.arb_mask.resize(ways, 0);
+        BusGrant {
+            fabric,
+            mem,
+            schedule,
+            timing,
+            ways,
+        }
+    }
+}
+
+impl FabricStep for BusGrant<'_> {
+    fn reprice(&mut self, cycle: u64) -> Result<(), CoherenceError> {
+        self.timing = self.fabric.timing_at(self.mem, self.schedule, cycle);
+        Ok(())
     }
 
-    /// Runs `trace` over `fabric` under an optional fault schedule,
-    /// reusing `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoherenceError::Stalled`] if the watchdog fires (e.g. the
-    /// arbiter is stalled beyond the budget).
-    #[allow(clippy::too_many_lines)]
-    pub(crate) fn run(
-        &self,
-        trace: &crate::trace::AccessTrace,
-        fabric: SnoopFabric<'_>,
-        mem: &MemoryDesign,
-        schedule: Option<&FaultSchedule>,
-        scratch: &mut CoherenceScratch,
-    ) -> Result<RunOutcome, CoherenceError> {
-        let cores = trace.cores();
-        scratch.ensure(cores, self.config.geometry, trace.num_lines())?;
-        let protocol = self.config.protocol;
-        let mut timing = fabric.timing_at(mem, schedule, 0);
-        let ways = timing.ways.max(1);
-        scratch.ensure_arbiters(ways, cores);
+    #[allow(clippy::cast_possible_truncation)]
+    fn way_of(&self, line: u64) -> u32 {
+        (line % self.ways as u64) as u32
+    }
 
-        let total = trace.total_accesses();
-        let watchdog_limit = total
-            .saturating_mul(self.config.watchdog_cycles_per_access)
-            .saturating_add(100_000);
-        match schedule {
-            Some(s) => s.change_points_into(&mut scratch.change_points),
-            None => scratch.change_points.clear(),
+    fn raise(&mut self, core: usize, op: PendingOp, scratch: &mut CoherenceScratch) {
+        if !scratch.inflight[op.idx as usize] {
+            scratch.arb_mask[op.way as usize] |= 1u128 << core;
         }
-        let mut change_idx = 0;
+    }
 
-        let mut metrics = CoherenceMetrics::default();
-        let mut completed = 0u64;
-        let mut seq = 0u64;
-        let mut cycle = 0u64;
-
-        // Initial think time before each core's first reference. Bit
-        // `c` of `issuable` is set while core `c` has no MSHR in use
-        // and references left in its stream — the only cores the issue
-        // and next-event steps ever need to look at.
-        let mut issuable: u128 = 0;
-        for core in 0..cores {
-            scratch.ready_at[core] = trace.stream(core).first().map_or(0, |a| u64::from(a.think));
-            if !trace.stream(core).is_empty() {
-                issuable |= 1u128 << core;
+    fn line_freed(&mut self, op: PendingOp, raised: u128, scratch: &mut CoherenceScratch) {
+        // Requests parked on the line become arbitrable again (same
+        // line ⇒ same interleaving way).
+        let mut parked = raised;
+        while parked != 0 {
+            let c = parked.trailing_zeros() as usize;
+            parked &= parked - 1;
+            if scratch.pending[c].is_some_and(|p| p.idx == op.idx) {
+                scratch.arb_mask[op.way as usize] |= 1u128 << c;
             }
         }
+    }
 
-        loop {
-            if cycle > watchdog_limit {
-                return Err(CoherenceError::Stalled {
-                    cycle,
-                    completed,
-                    pending: total - completed,
-                });
+    /// Grants one transaction per free way.
+    fn serve(&mut self, cycle: u64, run: &mut RunState, scratch: &mut CoherenceScratch) {
+        for way in 0..self.ways {
+            if scratch.way_busy[way] > cycle {
+                continue;
             }
-            // Fault epoch: re-derive bus prices past each change point.
-            while change_idx < scratch.change_points.len()
-                && cycle >= scratch.change_points[change_idx]
-            {
-                timing = fabric.timing_at(mem, schedule, cycle);
-                change_idx += 1;
+            let mask = scratch.arb_mask[way];
+            if mask == 0 {
+                continue;
             }
-
-            // 1. Deliver due completions: data arrives, MSHR frees.
-            while let Some(&Reverse((when, _, core))) = scratch.completions.peek() {
-                if when > cycle {
-                    break;
-                }
-                scratch.completions.pop();
-                let op = scratch.pending[core]
-                    .take()
-                    .expect("completion without MSHR");
-                scratch.inflight[op.idx as usize] = false;
-                // The line unblocks: requests parked on it become
-                // arbitrable again (same line ⇒ same interleaving way).
-                for c in 0..cores {
-                    if scratch.requests[c] && scratch.pending[c].is_some_and(|p| p.idx == op.idx) {
-                        scratch.arb_mask[op.way as usize] |= 1u128 << c;
-                    }
-                }
-                let latency = when - op.issued_at;
-                metrics.accesses += 1;
-                if op.write {
-                    metrics.writes += 1;
-                } else {
-                    metrics.reads += 1;
-                }
-                metrics.misses += 1;
-                metrics.total_latency_cycles += latency;
-                metrics.max_latency_cycles = metrics.max_latency_cycles.max(latency);
-                metrics.cycles = metrics.cycles.max(when);
-                completed += 1;
-                scratch.next_idx[core] += 1;
-                match trace.stream(core).get(scratch.next_idx[core]) {
-                    Some(a) => {
-                        scratch.ready_at[core] = when + 1 + u64::from(a.think);
-                        issuable |= 1u128 << core;
-                    }
-                    None => scratch.ready_at[core] = when + 1,
+            for (core, req) in scratch.req_buf.iter_mut().enumerate() {
+                *req = mask & (1u128 << core) != 0;
+            }
+            let winner = scratch.arbiters[way]
+                .arbitrate(&scratch.req_buf)
+                .expect("a request was raised");
+            scratch.arb_mask[way] &= !(1u128 << winner);
+            let op = scratch.pending[winner].expect("winner has an MSHR");
+            // Snoop transitions happen now: the grant is the bus
+            // serialization point.
+            let tx = apply_snoop_transaction(run.protocol, winner, op, scratch, &mut run.metrics);
+            // A router-stall fault on resource `way` delays the
+            // arbiter's grant.
+            let stall = self.schedule.map_or(0, |s| s.stall_cycles(way, cycle));
+            let done = cycle + stall + self.timing.overhead_cycles + tx.wait_cycles(&self.timing);
+            let held = tx.occupancy_cycles(&self.timing);
+            // The request/arb/grant phases ride dedicated control
+            // wires and pipeline with the previous transaction's
+            // data beats: the way is reserved for `held` data
+            // cycles only, so bus bandwidth is data-limited, not
+            // handshake-limited.
+            scratch.way_busy[way] = cycle + stall + held;
+            run.metrics.fabric_busy_cycles += held;
+            run.metrics.bus_transactions += 1;
+            // Park the losers racing for the same line until the
+            // in-flight transaction completes (MSHR line blocking).
+            let mut losers = scratch.arb_mask[way];
+            while losers != 0 {
+                let c = losers.trailing_zeros() as usize;
+                losers &= losers - 1;
+                if scratch.pending[c].is_some_and(|p| p.idx == op.idx) {
+                    scratch.arb_mask[way] &= !(1u128 << c);
                 }
             }
-
-            // 2. Ready cores issue their next reference.
-            let mut issue = issuable;
-            while issue != 0 {
-                let core = issue.trailing_zeros() as usize;
-                issue &= issue - 1;
-                if scratch.ready_at[core] > cycle {
-                    continue;
-                }
-                let at = scratch.next_idx[core];
-                let a = trace.stream(core)[at];
-                let idx = trace.line_indices(core)[at];
-                // The interned table already holds `line_of(a.addr)`.
-                let line = trace.lines()[idx as usize];
-                let probed = scratch.caches[core].probe(line);
-                let state = probed.map_or(LineState::Invalid, |(s, _)| s);
-                let hit = match (protocol, a.write, state) {
-                    (_, false, s) if s.is_present() => true,
-                    (_, true, LineState::Modified | LineState::Exclusive) => true,
-                    _ => false,
-                };
-                if hit {
-                    let version = if a.write {
-                        scratch.latest[idx as usize] += 1;
-                        let v = scratch.latest[idx as usize];
-                        scratch.caches[core].update(line, LineState::Modified, Some(v));
-                        v
-                    } else {
-                        let v = probed.expect("hit line is resident").1;
-                        debug_assert_eq!(
-                            v, scratch.latest[idx as usize],
-                            "read hit observed a stale version on line {line}"
-                        );
-                        v
-                    };
-                    if self.config.record_commits {
-                        scratch.commits.push(CommitEntry {
-                            core,
-                            line,
-                            write: a.write,
-                            version,
-                        });
-                    }
-                    metrics.accesses += 1;
-                    metrics.hits += 1;
-                    if a.write {
-                        metrics.writes += 1;
-                    } else {
-                        metrics.reads += 1;
-                    }
-                    metrics.total_latency_cycles += 1;
-                    metrics.max_latency_cycles = metrics.max_latency_cycles.max(1);
-                    metrics.cycles = metrics.cycles.max(cycle + 1);
-                    completed += 1;
-                    scratch.next_idx[core] += 1;
-                    match trace.stream(core).get(scratch.next_idx[core]) {
-                        Some(a) => scratch.ready_at[core] = cycle + 1 + u64::from(a.think),
-                        None => {
-                            scratch.ready_at[core] = cycle + 1;
-                            issuable &= !(1u128 << core);
-                        }
-                    }
-                } else {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let way = (line % ways as u64) as u32;
-                    scratch.pending[core] = Some(PendingOp {
-                        line,
-                        idx,
-                        way,
-                        write: a.write,
-                        issued_at: cycle,
-                    });
-                    scratch.requests[core] = true;
-                    issuable &= !(1u128 << core);
-                    if !scratch.inflight[idx as usize] {
-                        scratch.arb_mask[way as usize] |= 1u128 << core;
-                    }
-                }
-            }
-
-            // 3. Grant one transaction per free way.
-            for way in 0..ways {
-                if scratch.way_busy[way] > cycle {
-                    continue;
-                }
-                let mask = scratch.arb_mask[way];
-                if mask == 0 {
-                    continue;
-                }
-                for core in 0..cores {
-                    scratch.req_buf[core] = mask & (1u128 << core) != 0;
-                }
-                let winner = scratch.arbiters[way]
-                    .arbitrate(&scratch.req_buf)
-                    .expect("a request was raised");
-                scratch.requests[winner] = false;
-                scratch.arb_mask[way] &= !(1u128 << winner);
-                let op = scratch.pending[winner].expect("winner has an MSHR");
-                // Snoop transitions happen now: the grant is the bus
-                // serialization point.
-                let tx = apply_snoop_transaction(protocol, winner, op, scratch, &mut metrics);
-                debug_assert!(
-                    verify_line_invariant(
-                        protocol,
-                        &scratch.caches,
-                        op.line,
-                        scratch.latest[op.idx as usize]
-                    ),
-                    "protocol invariant broken after a grant on line {}",
-                    op.line
-                );
-                if self.config.record_commits {
-                    scratch.commits.push(CommitEntry {
-                        core: winner,
-                        line: op.line,
-                        write: op.write,
-                        version: tx.version,
-                    });
-                }
-                // A router-stall fault on resource `way` delays the
-                // arbiter's grant.
-                let stall = schedule.map_or(0, |s| s.stall_cycles(way, cycle));
-                let done = cycle + stall + timing.overhead_cycles + tx.wait_cycles(&timing);
-                let held = tx.occupancy_cycles(&timing);
-                // The request/arb/grant phases ride dedicated control
-                // wires and pipeline with the previous transaction's
-                // data beats: the way is reserved for `held` data
-                // cycles only, so bus bandwidth is data-limited, not
-                // handshake-limited.
-                scratch.way_busy[way] = cycle + stall + held;
-                metrics.fabric_busy_cycles += held;
-                metrics.bus_transactions += 1;
-                scratch.inflight[op.idx as usize] = true;
-                // Park the losers racing for the same line until the
-                // in-flight transaction completes (MSHR line blocking).
-                let mut losers = scratch.arb_mask[way];
-                while losers != 0 {
-                    let c = losers.trailing_zeros() as usize;
-                    losers &= losers - 1;
-                    if scratch.pending[c].is_some_and(|p| p.idx == op.idx) {
-                        scratch.arb_mask[way] &= !(1u128 << c);
-                    }
-                }
-                seq += 1;
-                scratch.completions.push(Reverse((done, seq, winner)));
-            }
-
-            // 4. Done?
-            if completed == total && scratch.completions.is_empty() {
-                break;
-            }
-
-            // 5. Jump to the next interesting cycle.
-            let mut next = u64::MAX;
-            if let Some(&Reverse((when, _, _))) = scratch.completions.peek() {
-                next = next.min(when);
-            }
-            let mut waiting = issuable;
-            while waiting != 0 {
-                let core = waiting.trailing_zeros() as usize;
-                waiting &= waiting - 1;
-                next = next.min(scratch.ready_at[core]);
-            }
-            for (way, &busy) in scratch.way_busy.iter().enumerate() {
-                if scratch.arb_mask[way] != 0 {
-                    next = next.min(busy);
-                }
-            }
-            if next == u64::MAX {
-                // No event can ever fire again; only legal if finished.
-                return Err(CoherenceError::Stalled {
-                    cycle,
-                    completed,
-                    pending: total - completed,
-                });
-            }
-            cycle = next.max(cycle + 1);
+            run.commit(winner, op, tx.version, done, scratch);
         }
+    }
 
-        debug_assert!(verify_all_line_invariants(
-            protocol,
-            &scratch.caches,
-            trace.lines(),
-            &scratch.latest
-        ));
-        Ok(RunOutcome {
-            metrics,
-            commits: std::mem::take(&mut scratch.commits),
-        })
+    fn next_event(&self, _raised: u128, _change: Option<u64>, scratch: &CoherenceScratch) -> u64 {
+        scratch
+            .way_busy
+            .iter()
+            .zip(&scratch.arb_mask)
+            .filter(|&(_, &mask)| mask != 0)
+            .map(|(&busy, _)| busy)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 

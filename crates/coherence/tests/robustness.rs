@@ -2,8 +2,8 @@
 //! `cryowire-faults` schedules — slower, never wrong, never hung.
 
 use cryowire_coherence::{
-    CacheGeometry, CoherenceConfig, CoherenceError, CoherenceScratch, CoherenceSystem, Protocol,
-    RunOutcome, SharingPattern, SystemFabric, TraceGenConfig,
+    AccessTrace, CacheGeometry, CoherenceConfig, CoherenceError, CoherenceScratch, CoherenceSystem,
+    CoreAccess, Protocol, RunOutcome, SharingPattern, SystemFabric, TraceGenConfig,
 };
 use cryowire_device::Temperature;
 use cryowire_faults::{FaultEvent, FaultKind, FaultPlan, FaultSchedule};
@@ -262,4 +262,23 @@ fn bad_configs_fail_typed() {
             "{config:?}: {err}"
         );
     }
+    // Per-core sets are 128-bit masks: a 129th core is rejected on the
+    // bus too, not run into a shift overflow or a false stall.
+    let streams = (0..129)
+        .map(|core| {
+            vec![CoreAccess {
+                addr: 64 * core,
+                write: true,
+                think: 0,
+            }]
+        })
+        .collect();
+    let wide = AccessTrace::new(streams, 64, 1 << 20).expect("129 streams are a valid trace");
+    let err = snoop_system()
+        .run(&wide, &config(), None, &mut scratch)
+        .expect_err("129 cores must not run");
+    assert!(
+        matches!(err, CoherenceError::InvalidConfig { .. }),
+        "129 cores: {err}"
+    );
 }

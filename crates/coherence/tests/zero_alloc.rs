@@ -1,9 +1,10 @@
-//! Counting-allocator proof that both coherence hot loops allocate
+//! Counting-allocator proof that the coherence run loop allocates
 //! nothing in steady state: after one warm-up run populates the scratch
-//! (caches, arenas, arbiters, completion heap), further runs of the
-//! snooping engine AND the directory engine over the same shapes — and
-//! a whole lane batch, one run after another over one system — must
-//! perform **zero** heap allocations.
+//! (caches, arenas, arbiters, completion heap), further runs over the
+//! snooping bus AND the directory mesh with the same shapes — a whole
+//! lane batch, one run after another over one system, and the
+//! coherence grid's four-geometry batches — must perform **zero** heap
+//! allocations.
 //! Tests build in debug, so this also proves the per-grant incremental
 //! invariant `debug_assert!`s are allocation-free (the old exhaustive
 //! checker rebuilt a hash map per access and could never pass here).
@@ -150,5 +151,52 @@ fn steady_state_hot_loops_allocate_nothing() {
         steady_lanes[0].as_ref(),
         Ok(&warm_snoop),
         "lane 0 matches scalar"
+    );
+
+    // The lane shape the coherence grid runs: its four geometries, one
+    // batch per engine, cycled through the scratch's cache-set pool.
+    // After one warm batch per engine has parked a set of each
+    // geometry, the measured batches revive them and allocate nothing.
+    let finite = |size_bytes, assoc| CacheGeometry {
+        size_bytes,
+        assoc,
+        line_bytes: 64,
+    };
+    let grid = [
+        CacheGeometry::no_evict(2048, 64),
+        finite(16 * 1024, 4),
+        finite(8 * 1024, 2),
+        finite(4 * 1024, 2),
+    ];
+    let engines = [
+        (&bus, Protocol::Mesi),
+        (&bus, Protocol::Dragon),
+        (&dir, Protocol::Mesi),
+    ];
+    let batch = |scratch: &mut CoherenceScratch| {
+        engines.map(|(system, protocol)| {
+            grid.map(|geometry| {
+                let cfg = CoherenceConfig {
+                    geometry,
+                    ..config(protocol)
+                };
+                system.run(&trace, &cfg, None, scratch)
+            })
+        })
+    };
+    let warm_grid = batch(&mut scratch);
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let steady_grid = batch(&mut scratch);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "steady four-geometry batches on the bus and the directory must not allocate"
+    );
+    assert_eq!(
+        warm_grid, steady_grid,
+        "the cache-set pool changed a grid lane"
     );
 }
