@@ -20,9 +20,8 @@
 //! `memory`, the directory entries, and the MSHR line-blocking mask are
 //! dense `Vec`s sized [`AccessTrace::num_lines`], so the hot loops
 //! never hash. Per-core sets are `u128` bitmasks, so a run takes at
-//! most 128 cores. The retained hash-map engines live in
-//! [`crate::baseline`] (behind `reference-sim`) as the bit-identity
-//! oracle and the denominator of the `bench-engines` coherence speedup.
+//! most 128 cores. The per-cycle model in `tests/oracle.rs`, which has
+//! none of this machinery, must reproduce every run's outcome.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

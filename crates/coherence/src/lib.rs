@@ -33,10 +33,12 @@
 //!   routes trip a progress watchdog into a typed
 //!   [`CoherenceError::Stalled`] instead of a hang.
 //!
-//! Correctness is anchored to the hop-count reference engines: with the
-//! `reference-sim` feature, every run's serialization-order commit log
-//! replays through `SnoopingMesi`/`DirectoryMesi` and must reproduce
-//! identical data versions (see [`reference`](mod@reference)).
+//! Two independent models check the engines. Every run's
+//! serialization-order commit log replays through the hop-count
+//! `SnoopingMesi`/`DirectoryMesi` engines and must reproduce identical
+//! data versions (see [`reference`](mod@reference)), and a plain
+//! per-cycle model in `tests/oracle.rs` must reproduce every counter and
+//! the whole commit log.
 
 #![warn(missing_docs)]
 
@@ -45,23 +47,16 @@ pub mod directory;
 pub mod engine;
 pub mod error;
 pub mod metrics;
-#[cfg(feature = "reference-sim")]
 pub mod reference;
 pub mod snoop;
 pub mod timing;
 pub mod trace;
 
-#[cfg(any(test, feature = "reference-sim"))]
-pub mod baseline;
-
-#[cfg(any(test, feature = "reference-sim"))]
-pub use baseline::{verify_invariants, BaselineScratch};
 pub use cache::{CacheGeometry, LineState, PrivateCache};
 pub use engine::{
     CoherenceConfig, CoherenceScratch, CoherenceSystem, Protocol, RunOutcome, SystemFabric,
 };
 pub use error::CoherenceError;
 pub use metrics::{CoherenceMetrics, CommitEntry};
-pub use snoop::{verify_all_line_invariants, verify_line_invariant, SnoopFabric};
 pub use timing::{BusTiming, DirectoryTiming, LINE_BEATS};
 pub use trace::{AccessTrace, CoreAccess, SharingPattern, TraceGenConfig};

@@ -1,5 +1,5 @@
 //! Reference replay: the equivalence contract with the hop-count
-//! engines (`reference-sim` feature).
+//! engines.
 //!
 //! The cycle-level engines record a serialization-order commit log —
 //! one entry per access, in the order the fabric serialized it (grant

@@ -18,10 +18,12 @@
 //! Per-line state (version serials, backing-store versions, the
 //! in-flight mask) lives in flat arenas indexed by the trace's interned
 //! line index — no hashing in the loop — and the protocol invariants
-//! are checked incrementally per grant ([`verify_line_invariant`], the
-//! one line a grant can perturb) instead of rebuilding a whole-cache
-//! map per access; the exhaustive sweep over every interned line
-//! ([`verify_all_line_invariants`]) runs once at end of run.
+//! are debug-checked incrementally per grant (`verify_line_invariant`,
+//! the one line a grant can perturb) instead of rebuilding a
+//! whole-cache map per access; the sweep over every interned line
+//! (`verify_all_line_invariants`) runs once at end of run. The
+//! exhaustive whole-cache checker they replaced lives on in this
+//! module's tests, which hold the two equivalent.
 //!
 //! Both MESI and Dragon (4-state, update-based) run on this fabric; the
 //! protocol decides what a grant does to the other caches.
@@ -38,7 +40,7 @@ use crate::timing::BusTiming;
 
 /// The snooping fabric a run prices through.
 #[derive(Debug, Clone, Copy)]
-pub enum SnoopFabric<'a> {
+pub(crate) enum SnoopFabric<'a> {
     /// The paper's 77 K H-tree bus with dynamic link connection.
     CryoBus(&'a CryoBus),
     /// A conventional bidirectional bus.
@@ -552,7 +554,7 @@ fn apply_dragon(
 /// cheap enough to `debug_assert!` per grant where the old exhaustive
 /// checker rebuilt a whole-cache hash map per access.
 #[must_use]
-pub fn verify_line_invariant(
+pub(crate) fn verify_line_invariant(
     protocol: Protocol,
     caches: &[PrivateCache],
     line: u64,
@@ -588,9 +590,9 @@ pub fn verify_line_invariant(
 /// interned line (`lines[i]` with latest serial `latest[i]`). Every
 /// resident line entered a cache through a trace access, so the
 /// interned set covers the caches completely. Allocation-free; runs
-/// once at end of run and in the equivalence suites.
+/// once at end of run.
 #[must_use]
-pub fn verify_all_line_invariants(
+pub(crate) fn verify_all_line_invariants(
     protocol: Protocol,
     caches: &[PrivateCache],
     lines: &[u64],
@@ -605,8 +607,38 @@ pub fn verify_all_line_invariants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
     use std::collections::HashMap;
+
+    /// The exhaustive whole-cache checker that the per-line checks
+    /// replaced: rebuilds a per-line map over every resident copy, then
+    /// checks each line against its latest version in `latest`.
+    fn verify_invariants(
+        protocol: Protocol,
+        caches: &[PrivateCache],
+        latest: &HashMap<u64, u64>,
+    ) -> bool {
+        let mut per_line: HashMap<u64, (usize, usize, Vec<u64>)> = HashMap::new();
+        for (line, state, version) in caches.iter().flat_map(PrivateCache::resident_lines) {
+            let e = per_line.entry(line).or_default();
+            e.0 += 1;
+            if match protocol {
+                Protocol::Mesi => matches!(state, LineState::Modified | LineState::Exclusive),
+                Protocol::Dragon => {
+                    matches!(state, LineState::Modified | LineState::Exclusive) || state.is_owner()
+                }
+            } {
+                e.1 += 1;
+            }
+            e.2.push(version);
+        }
+        per_line
+            .iter()
+            .all(|(line, (copies, exclusive_like, versions))| {
+                let sole = *exclusive_like == 0 || *copies == 1 || protocol == Protocol::Dragon;
+                let latest_v = latest.get(line).copied().unwrap_or(0);
+                sole && *exclusive_like <= 1 && versions.iter().all(|&v| v == latest_v)
+            })
+    }
 
     /// Builds a cache set holding `line` in the given per-core states.
     fn caches_with(states: &[(LineState, u64)], line: u64) -> Vec<PrivateCache> {
@@ -623,8 +655,8 @@ mod tests {
             .collect()
     }
 
-    /// The incremental checker must agree with the retained exhaustive
-    /// hash-map checker on both valid and corrupted states.
+    /// The incremental checker must agree with the exhaustive hash-map
+    /// checker on both valid and corrupted states.
     #[test]
     fn incremental_checker_matches_exhaustive_baseline_checker() {
         let line = 5u64;
@@ -647,7 +679,7 @@ mod tests {
                 let caches = caches_with(states, line);
                 let mut map = HashMap::new();
                 map.insert(line, *latest);
-                let exhaustive = baseline::verify_invariants(protocol, &caches, &map);
+                let exhaustive = verify_invariants(protocol, &caches, &map);
                 let incremental = verify_line_invariant(protocol, &caches, line, *latest);
                 let sweep = verify_all_line_invariants(protocol, &caches, &[line], &[*latest]);
                 assert_eq!(
@@ -669,6 +701,6 @@ mod tests {
         assert!(verify_line_invariant(Protocol::Dragon, &caches, 2, 9));
         let mut map = HashMap::new();
         map.insert(2, 9);
-        assert!(baseline::verify_invariants(Protocol::Dragon, &caches, &map));
+        assert!(verify_invariants(Protocol::Dragon, &caches, &map));
     }
 }

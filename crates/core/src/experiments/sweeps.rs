@@ -509,6 +509,11 @@ pub fn coherence_spec() -> SweepSpec {
 /// lanes the cache and the journal did not answer, so the canonical
 /// artifact stays byte-identical to an uninterrupted (or scalar) run at
 /// any thread count.
+///
+/// # Panics
+///
+/// Panics if `accesses_per_core` is 0: the trace generator needs at
+/// least one access per core.
 #[must_use]
 pub fn coherence_sweep_artifact(accesses_per_core: usize, opts: SweepOptions<'_>) -> RunArtifact {
     let workload = Workload::parsec_by_name("streamcluster").expect("known workload");

@@ -353,6 +353,28 @@ mod chaos {
             .contains("\"failure_class\": \"timeout\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A usage error exits 1 with a `sweep: ` message before any point
+    /// runs, and never panics.
+    #[test]
+    fn usage_errors_exit_1_with_a_message() {
+        for args in [
+            &["--sweep", "coherence", "--cycles", "0"][..],
+            &["--temps", "1"],
+            &["--max-split", "0"],
+            &["--resume"],
+            &["--no-such-flag"],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+                .args(args)
+                .output()
+                .expect("run sweep");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("sweep: "), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
 }
 
 /// Killing every resource of a mesh never hangs the NoC simulator: the
